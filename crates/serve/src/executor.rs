@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use zbp_sim::cache::{CellCache, CellKey};
-use zbp_sim::session::SimSession;
+use zbp_sim::session::{awaited_cell, cached_cell, SimSession};
 
 use crate::metrics::ServeMetrics;
 
@@ -275,7 +275,7 @@ fn run_job(state: &Arc<ExecState>, job: &Job) {
     for cell in &job.cells {
         // Another request, the CLI, or a prior run may have published
         // the cell between admission and execution.
-        if job.cache.load(&cell.key).is_some() {
+        if cached_cell(&job.cache, &cell.key).is_some() {
             state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
             resolve(state, cell, SlotView::Done(provenance::CACHE_HIT));
         } else {
@@ -304,13 +304,14 @@ fn run_job(state: &Arc<ExecState>, job: &Job) {
         }
     }
     for cell in theirs {
-        match job.cache.wait_for(&cell.key) {
+        match awaited_cell(&job.cache, &cell.key) {
             Some(_) => {
                 state.metrics.claims_lost.fetch_add(1, Ordering::Relaxed);
                 resolve(state, cell, SlotView::Done(provenance::CLAIM_WAIT));
             }
             None => {
-                // The claim holder died without publishing: recompute.
+                // The claim holder died without publishing a usable
+                // entry: recompute.
                 use zbp_support::json::ToJson;
                 let results = job.session.compute_row(job.row, &[cell.col]);
                 job.cache.store(&cell.key, &results[0].to_json());
@@ -464,7 +465,9 @@ mod tests {
             }
             pair.expect("grid has two columns in one row")
         };
-        CellCache::at(&dir).store(&a.key, &zbp_support::json::Json::Num(1.0));
+        use zbp_support::json::ToJson;
+        let a_result = session.compute_row(a.row, &[a.col]).remove(0);
+        CellCache::at(&dir).store(&a.key, &a_result.to_json());
         let cache = Arc::new(CellCache::at(&dir).abort_after_stores(0));
         let metrics = Arc::new(ServeMetrics::default());
         let exec = Executor::new(1, Arc::clone(&metrics));
@@ -490,6 +493,33 @@ mod tests {
         assert_eq!(metrics.inflight_cells.load(Ordering::Relaxed), 0);
         assert!(matches!(exec.admit(&a.key), Admission::Owner(_)));
         assert!(matches!(exec.admit(&b.key), Admission::Owner(_)));
+        exec.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_that_does_not_decode_is_computed_not_a_hit() {
+        let dir = tmp_dir("undecodable");
+        let session = small_session();
+        let cell = &session.cells()[0];
+        // The entry parses as JSON but is no cell result: the gather
+        // would recompute it, so the job must not call it a hit.
+        CellCache::at(&dir).store(&cell.key, &zbp_support::json::Json::Num(1.0));
+        let cache = Arc::new(CellCache::at(&dir));
+        let metrics = Arc::new(ServeMetrics::default());
+        let exec = Executor::new(1, Arc::clone(&metrics));
+        let Admission::Owner(slot) = exec.admit(&cell.key) else { panic!("cold admit") };
+        exec.submit(Job {
+            session: Arc::clone(&session),
+            cache: Arc::clone(&cache),
+            row: cell.row,
+            cells: vec![JobCell { col: cell.col, key: cell.key.clone(), slot: Arc::clone(&slot) }],
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        assert_eq!(slot.wait_resolved(deadline), Some(SlotView::Done(provenance::COMPUTED)));
+        assert_eq!(metrics.cache_hits.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics.cells_computed.load(Ordering::Relaxed), 1);
+        assert!(cached_cell(&cache, &cell.key).is_some(), "the bad entry was replaced");
         exec.drain();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -152,59 +152,75 @@ fn respond_raw(
     content_type: &str,
     body: &str,
 ) -> io::Result<()> {
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         status_text(status),
         body.len(),
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    response.push_str(body);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
-/// A close-delimited NDJSON event stream: headers go out on the first
-/// event, then one JSON object per line, flushed per event so clients
-/// see progress live. The body ends when the connection closes
+/// The head of every NDJSON stream response.
+const NDJSON_HEAD: &str =
+    "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n";
+
+/// A close-delimited NDJSON event stream: the response head, then one
+/// JSON object per line. The body ends when the connection closes
 /// (`Connection: close`), which every HTTP/1.1 client accepts.
+///
+/// Events are held until [`Self::flush`], which writes all of them in
+/// one write. The daemon flushes whenever a request is about to wait
+/// and when it ends, so a client sees every event before any wait, and
+/// a warm request costs a few writes (and wake-ups of its client), not
+/// one per cell.
 pub struct NdjsonStream<'a> {
     stream: &'a mut TcpStream,
     started: bool,
+    /// Lines not yet written, with the response head in front of the
+    /// first.
+    pending: String,
 }
 
 impl<'a> NdjsonStream<'a> {
-    /// Wraps `stream`; nothing is written until the first event.
+    /// Wraps `stream`; nothing is written until the first flush.
     pub fn new(stream: &'a mut TcpStream) -> Self {
-        Self { stream, started: false }
+        Self { stream, started: false, pending: String::new() }
     }
 
-    /// Wraps a stream whose response head already went out (e.g. to
-    /// append a trailing event after an earlier writer was dropped).
-    pub fn resumed(stream: &'a mut TcpStream) -> Self {
-        Self { stream, started: true }
-    }
-
-    /// Whether any event (and therefore the response head) went out —
-    /// after that, errors can only be reported as stream events, not as
-    /// an HTTP status.
+    /// Whether any event (and therefore the response head) was emitted
+    /// — after that, errors can only be reported as stream events, not
+    /// as an HTTP status.
     pub fn started(&self) -> bool {
         self.started
     }
 
-    /// Writes one event line and flushes it.
+    /// Adds one event line, and the response head in front of the
+    /// first, to the output [`Self::flush`] writes.
+    pub fn emit(&mut self, event: &Json) {
+        if !self.started {
+            self.started = true;
+            self.pending.push_str(NDJSON_HEAD);
+        }
+        self.pending.push_str(&event.render());
+        self.pending.push('\n');
+    }
+
+    /// Writes every event emitted since the last flush in one write,
+    /// and flushes the socket.
     ///
     /// # Errors
     ///
     /// On I/O errors (e.g. the client hung up — the caller treats that
     /// as cancellation).
-    pub fn emit(&mut self, event: &Json) -> io::Result<()> {
-        if !self.started {
-            self.started = true;
-            self.stream.write_all(
-                b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n",
-            )?;
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
         }
-        self.stream.write_all(event.render().as_bytes())?;
-        self.stream.write_all(b"\n")?;
+        let written = self.stream.write_all(self.pending.as_bytes());
+        self.pending.clear();
+        written?;
         self.stream.flush()
     }
 }
@@ -283,5 +299,32 @@ mod tests {
         }
         raw.extend_from_slice(b"\r\n");
         assert!(roundtrip(&raw).is_err());
+    }
+
+    #[test]
+    fn events_are_held_until_a_flush_writes_them_together() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        client.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("timeout");
+        let (mut conn, _) = listener.accept().expect("accept");
+        let mut out = NdjsonStream::new(&mut conn);
+        assert!(!out.started());
+        out.flush().expect("nothing to flush");
+        out.emit(&Json::Num(1.0));
+        out.emit(&Json::Num(2.0));
+        assert!(out.started());
+        client.set_nonblocking(true).expect("nonblocking");
+        let held = client.read(&mut [0; 1]).map_err(|e| e.kind());
+        assert_eq!(held, Err(io::ErrorKind::WouldBlock), "nothing is written before the flush");
+        client.set_nonblocking(false).expect("blocking");
+        out.flush().expect("flush");
+        out.emit(&Json::Num(3.0));
+        out.flush().expect("flush");
+        drop(out);
+        drop(conn);
+        // The head goes out once, in front of the first event.
+        let mut got = String::new();
+        client.read_to_string(&mut got).expect("read to close");
+        assert_eq!(got, format!("{NDJSON_HEAD}1\n2\n3\n"));
     }
 }

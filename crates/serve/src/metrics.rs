@@ -16,7 +16,8 @@ use zbp_support::json::Json;
 /// `Arc`; every field is independently thread-safe.
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
-    /// HTTP requests accepted (any route).
+    /// HTTP requests read and routed (any route). A request that
+    /// cannot be read counts in `errors` only.
     pub requests: AtomicU64,
     /// `/run` requests currently being served.
     pub active_requests: AtomicU64,
@@ -31,8 +32,9 @@ pub struct ServeMetrics {
     /// Cells whose cross-process claim was held elsewhere (a concurrent
     /// CLI run or second daemon) and were served from that entry.
     pub claims_lost: AtomicU64,
-    /// Requests that ended in an error event (bad request, timeout,
-    /// failed cell).
+    /// Requests that ended in an error: unreadable (400, or 408 when
+    /// the head did not arrive in time), a bad `/run` body, a timeout
+    /// or a failed cell.
     pub errors: AtomicU64,
     /// Row jobs currently queued for the worker pool.
     pub queue_depth: AtomicU64,

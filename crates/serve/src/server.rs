@@ -10,12 +10,22 @@
 //! as NDJSON events (`plan`, `queued`, `running`, `done`, `error`,
 //! `result`), each `done` carrying the cell's provenance.
 //!
-//! The final artifact is produced by calling the registry's own
-//! [`ExperimentSpec::run`] over the now-warm cache — the exact code
-//! path `zbp-cli experiment run` uses — so a daemon response is
-//! bit-identical to a CLI run by construction, not by reimplementation.
+//! The final artifact is produced by the registry's own
+//! [`ExperimentSpec::run`] path over the now-warm cache — the gather,
+//! post-processing and manifest code `zbp-cli experiment run` uses — so
+//! a daemon response is bit-identical to a CLI run by construction, not
+//! by reimplementation. The cells the request already read as hits are
+//! handed to that gather ([`ExperimentSpec::run_with_hits`]) so that a
+//! warm request reads each cell once.
+//!
+//! The accept loop blocks in `accept`. A watcher thread turns the
+//! shutdown flag into one wake-up connection to the listener, so the
+//! flag's polling step bounds only how fast the daemon stops, never how
+//! fast it answers.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,8 +33,9 @@ use std::time::{Duration, Instant};
 use zbp_sim::cache::CellCache;
 use zbp_sim::experiments::ExperimentOptions;
 use zbp_sim::registry::{self, ExperimentSpec};
-use zbp_sim::session::SessionCell;
+use zbp_sim::session::{cached_cell, SessionCell};
 use zbp_support::json::Json;
+use zbp_uarch::core::CoreResult;
 
 use crate::executor::{provenance, Admission, Executor, Job, JobCell, SlotView};
 use crate::http::{read_request, respond_json, respond_text, NdjsonStream, Request};
@@ -36,6 +47,14 @@ pub const DEFAULT_RUN_TIMEOUT: Duration = Duration::from_secs(600);
 
 /// Per-connection socket read timeout (header + body arrival).
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How often the shutdown watcher looks at the flag, and how long the
+/// accept loop backs off after a failed `accept` (e.g. out of file
+/// descriptors).
+const SHUTDOWN_POLL: Duration = Duration::from_millis(20);
+
+/// Bound on one wake-up connect to the listener.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// A parsed `/run` request body.
 #[derive(Debug, Clone)]
@@ -148,10 +167,41 @@ impl Server {
     /// stops accepting, waits for every active connection to finish,
     /// and joins the worker pool (which completes all queued cells
     /// first). Returns only when the drain is complete.
+    ///
+    /// The loop blocks in `accept`; a watcher thread wakes it once the
+    /// flag is set by connecting to the listener itself (over loopback
+    /// when it is bound to every interface). A connection accepted
+    /// after the flag is set — the wake-up, or a client that raced it —
+    /// is closed unanswered, like any connection still in the backlog
+    /// when the listener closes.
     pub fn run(&self, shutdown: &AtomicBool) {
-        self.listener.set_nonblocking(true).expect("nonblocking listener");
-        while !shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
+        let wake = wake_addr(self.local_addr().expect("listener address"));
+        let stopped = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| wake_on_shutdown(shutdown, &stopped, wake));
+            // The watcher must learn that the loop ended however it
+            // ended, or the scope would wait on it forever.
+            let ended = catch_unwind(AssertUnwindSafe(|| self.accept_until(shutdown)));
+            stopped.store(true, Ordering::SeqCst);
+            if let Err(panic) = ended {
+                resume_unwind(panic);
+            }
+        });
+        // Drain: connections first (they may still enqueue work), then
+        // the worker pool (which finishes everything enqueued).
+        while self.active.load(Ordering::SeqCst) > 0 {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        self.state.executor.drain();
+    }
+
+    fn accept_until(&self, shutdown: &AtomicBool) {
+        loop {
+            let accepted = self.listener.accept();
+            if shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            match accepted {
                 Ok((stream, _)) => {
                     let state = Arc::clone(&self.state);
                     let active = Arc::clone(&self.active);
@@ -161,27 +211,65 @@ impl Server {
                         active.fetch_sub(1, Ordering::SeqCst);
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+                Err(_) => std::thread::sleep(SHUTDOWN_POLL),
             }
         }
-        // Drain: connections first (they may still enqueue work), then
-        // the worker pool (which finishes everything enqueued).
-        while self.active.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        self.state.executor.drain();
+    }
+}
+
+/// Where the shutdown watcher connects to wake a listener bound to
+/// `bound`: the address itself, or the loopback address of the same
+/// family when the listener is bound to every interface (`0.0.0.0`,
+/// `::`), which cannot be connected to as such.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    // Only an unspecified address changes: the port, and an IPv6
+    // listener's scope id and flow info, carry over as bound.
+    let mut wake = bound;
+    if bound.ip().is_unspecified() {
+        wake.set_ip(match bound {
+            SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    wake
+}
+
+/// Waits for `shutdown`, then connects to the listener at `wake` until
+/// the accept loop reports it has `stopped` (returning at once if the
+/// loop stopped on its own, by a panic). One connect normally suffices;
+/// the retry only covers a connect that failed.
+fn wake_on_shutdown(shutdown: &AtomicBool, stopped: &AtomicBool, wake: SocketAddr) {
+    while !shutdown.load(Ordering::SeqCst) && !stopped.load(Ordering::SeqCst) {
+        std::thread::sleep(SHUTDOWN_POLL);
+    }
+    while !stopped.load(Ordering::SeqCst) {
+        let _ = TcpStream::connect_timeout(&wake, WAKE_CONNECT_TIMEOUT);
+        std::thread::sleep(SHUTDOWN_POLL);
+    }
+}
+
+/// The status for a request that could not be read: 408 when the
+/// client did not send it within the socket's read timeout, 400 for
+/// anything else (malformed or oversized head, bad body framing).
+fn read_failure_status(e: &io::Error) -> u16 {
+    match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => 408,
+        _ => 400,
     }
 }
 
 fn handle_connection(state: &Arc<ServeState>, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    // Events go out in whole writes, each at a point where the request
+    // is about to wait or has ended; sending each write at once is what
+    // a client streaming progress wants.
+    let _ = stream.set_nodelay(true);
     let request = match read_request(&mut stream) {
         Ok(r) => r,
         Err(e) => {
-            let _ = respond_json(&mut stream, 400, &error_json(&e.to_string()));
+            state.metrics.errors.fetch_add(1, Ordering::Relaxed);
+            let status = read_failure_status(&e);
+            let _ = respond_json(&mut stream, status, &error_json(&e.to_string()));
             return;
         }
     };
@@ -281,30 +369,61 @@ fn handle_run(
         return respond_json(stream, 404, &error_json(&msg));
     };
     state.metrics.active_requests.fetch_add(1, Ordering::Relaxed);
-    let (outcome, started) = {
-        let mut out = NdjsonStream::new(stream);
-        let outcome = run_streaming(state, spec, &run, &mut |event| out.emit(event));
-        (outcome, out.started())
-    };
+    let mut out = NdjsonStream::new(stream);
+    let outcome = run_events(state, spec, &run, &mut out);
     state.metrics.active_requests.fetch_sub(1, Ordering::Relaxed);
     match outcome {
         Ok(()) => Ok(()),
         Err(RunError::Io(e)) => Err(e),
         Err(RunError::Request(msg)) => {
-            // The per-cell `error` event already went out; close the
+            // The per-cell `error` event is already emitted; close the
             // request with a summary (as a trailing event when the
             // stream started, as a status otherwise).
             let event = Json::Obj(vec![
                 ("event".into(), Json::Str("error".into())),
                 ("error".into(), Json::Str(msg)),
             ]);
-            if started {
-                let mut out = NdjsonStream::resumed(stream);
-                out.emit(&event)
+            if out.started() {
+                out.emit(&event);
+                out.flush()
             } else {
                 respond_json(stream, 500, &event)
             }
         }
+    }
+}
+
+/// Where a `/run` request's events go. `emit` may hold an event back;
+/// `flush` sends everything emitted so far. The request flushes before
+/// anything that may wait (a pending cell, an inline computation) and
+/// when it ends.
+trait Events {
+    fn emit(&mut self, event: &Json) -> std::io::Result<()>;
+    fn flush(&mut self) -> std::io::Result<()>;
+}
+
+impl Events for NdjsonStream<'_> {
+    fn emit(&mut self, event: &Json) -> std::io::Result<()> {
+        NdjsonStream::emit(self, event);
+        Ok(())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        NdjsonStream::flush(self)
+    }
+}
+
+/// The function sink of [`run_streaming`]: every event is handed over
+/// as it is emitted.
+struct EachEvent<'e>(&'e mut dyn FnMut(&Json) -> std::io::Result<()>);
+
+impl Events for EachEvent<'_> {
+    fn emit(&mut self, event: &Json) -> std::io::Result<()> {
+        (self.0)(event)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
@@ -353,6 +472,16 @@ pub fn run_streaming(
     run: &RunRequest,
     emit: &mut dyn FnMut(&Json) -> std::io::Result<()>,
 ) -> Result<(), RunError> {
+    run_events(state, spec, run, &mut EachEvent(emit))
+}
+
+/// [`run_streaming`] into any [`Events`] sink.
+fn run_events(
+    state: &Arc<ServeState>,
+    spec: &ExperimentSpec,
+    run: &RunRequest,
+    out: &mut dyn Events,
+) -> Result<(), RunError> {
     let mut opts = state.base.clone();
     if run.len.is_some() {
         opts.len = run.len;
@@ -367,24 +496,28 @@ pub fn run_streaming(
         // Stats/custom specs have no externally addressable grid: run
         // them whole on this connection thread (their cells still go
         // through the shared cache).
-        emit(&Json::Obj(vec![
+        out.emit(&Json::Obj(vec![
             ("event".into(), Json::Str("plan".into())),
             ("experiment".into(), Json::Str(spec.id.into())),
             ("mode".into(), Json::Str("whole".into())),
         ]))?;
+        out.flush()?;
         let result = spec.run(&opts, &state.cache);
-        emit(&result_event(&result.artifact(), 0, 0, 0, 0, 0))?;
+        out.emit(&result_event(&result.artifact(), 0, 0, 0, 0, 0))?;
+        out.flush()?;
         return Ok(());
     };
     let session = Arc::new(session);
     let cells = session.cells();
-    emit(&Json::Obj(vec![
+    out.emit(&Json::Obj(vec![
         ("event".into(), Json::Str("plan".into())),
         ("experiment".into(), Json::Str(spec.id.into())),
         ("mode".into(), Json::Str("grid".into())),
         ("cells".into(), Json::Num(cells.len() as f64)),
         ("rows".into(), Json::Num(cells.iter().map(|c| c.row).max().map_or(0, |r| r + 1) as f64)),
     ]))?;
+    // The plan goes out before phase 1 reads any cell.
+    out.flush()?;
     state.metrics.cells_requested.fetch_add(cells.len() as u64, Ordering::Relaxed);
 
     // Phase 1: serve warm cells immediately; admit cold ones (owner or
@@ -393,16 +526,22 @@ pub fn run_streaming(
     // An owned cell's inflight entry is only ever removed by the worker
     // that resolves its slot, so every cell admitted as Owner MUST be
     // submitted — an emit failure (client hangup) stops the admission
-    // loop but still flushes the jobs accumulated so far, otherwise the
-    // admitted keys would wedge in the dedup table until restart.
+    // loop but still submits the jobs accumulated so far, otherwise the
+    // admitted keys would wedge in the dedup table until restart. (The
+    // daemon's own stream holds phase 1's events, so it learns of a
+    // hangup at the first flush after the jobs are submitted.)
     let mut hits = 0u64;
+    // The results phase 1 read, handed to the phase-3 gather so that a
+    // warm cell is read once per request.
+    let mut known_hits: Vec<Option<CoreResult>> = Vec::with_capacity(cells.len());
     let mut pending: Vec<(usize, Arc<crate::executor::CellSlot>, bool, Instant)> = Vec::new();
     let mut row_jobs: std::collections::BTreeMap<usize, Vec<JobCell>> =
         std::collections::BTreeMap::new();
     let mut hangup: Option<std::io::Error> = None;
     for (idx, cell) in cells.iter().enumerate() {
         let t0 = Instant::now();
-        let event = if state.cache.load(&cell.key).is_some() {
+        let hit = cached_cell(&state.cache, &cell.key);
+        let event = if hit.is_some() {
             hits += 1;
             state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
             state.metrics.observe_warm(t0.elapsed());
@@ -425,7 +564,8 @@ pub fn run_streaming(
                 }
             }
         };
-        if let Err(e) = emit(&event) {
+        known_hits.push(hit);
+        if let Err(e) = out.emit(&event) {
             hangup = Some(e);
             break;
         }
@@ -461,7 +601,8 @@ pub fn run_streaming(
             match &view {
                 SlotView::Queued => {}
                 SlotView::Running => {
-                    emit(&cell_event("running", cell, &[]))?;
+                    out.emit(&cell_event("running", cell, &[]))?;
+                    out.flush()?;
                     // Fall through to wait for resolution without
                     // re-emitting on spurious wakeups.
                     match slot.wait_resolved(deadline) {
@@ -470,7 +611,7 @@ pub fn run_streaming(
                             continue;
                         }
                         None => {
-                            return Err(timeout_error(state, emit, cell, timeout));
+                            return Err(timeout_error(state, out, cell, timeout));
                         }
                     }
                 }
@@ -483,18 +624,23 @@ pub fn run_streaming(
                         provenance::CLAIM_WAIT => claim_wait += 1,
                         _ => hits += 1,
                     }
-                    emit(&cell_event("done", cell, &[("provenance", Json::Str(label.into()))]))?;
+                    out.emit(&cell_event(
+                        "done",
+                        cell,
+                        &[("provenance", Json::Str(label.into()))],
+                    ))?;
                     break;
                 }
                 SlotView::Failed(msg) => {
-                    emit(&cell_event("error", cell, &[("error", Json::Str(msg.clone()))]))?;
+                    out.emit(&cell_event("error", cell, &[("error", Json::Str(msg.clone()))]))?;
                     failed = Some(format!("cell {} failed: {msg}", cell.key.digest()));
                     break;
                 }
             }
+            out.flush()?;
             match slot.wait_change(&view, deadline) {
                 Some(v) => view = v,
-                None => return Err(timeout_error(state, emit, cell, timeout)),
+                None => return Err(timeout_error(state, out, cell, timeout)),
             }
         }
         if failed.is_some() {
@@ -506,16 +652,28 @@ pub fn run_streaming(
     }
 
     // Phase 3: assemble the artifact through the registry's own run
-    // path over the now-warm cache — the exact code `zbp-cli experiment
-    // run` executes, so the response is bit-identical to a CLI run.
-    let result = spec.run(&opts, &state.cache);
-    emit(&result_event(&result.artifact(), cells.len() as u64, hits, computed, dedup, claim_wait))?;
+    // path over the now-warm cache — the gather, post-processing and
+    // manifest code `zbp-cli experiment run` executes, so the response
+    // is bit-identical to a CLI run. The phase-1 hits go in as read;
+    // the gather loads only the cells resolved since (and recomputes
+    // inline, as any run does, a cell whose entry vanished meanwhile).
+    out.flush()?;
+    let result = spec.run_with_hits(&opts, &state.cache, &known_hits);
+    out.emit(&result_event(
+        &result.artifact(),
+        cells.len() as u64,
+        hits,
+        computed,
+        dedup,
+        claim_wait,
+    ))?;
+    out.flush()?;
     Ok(())
 }
 
 fn timeout_error(
     state: &Arc<ServeState>,
-    emit: &mut dyn FnMut(&Json) -> std::io::Result<()>,
+    out: &mut dyn Events,
     cell: &SessionCell,
     timeout: Duration,
 ) -> RunError {
@@ -526,7 +684,7 @@ fn timeout_error(
         cell.key.digest()
     );
     state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-    let _ = emit(&cell_event("error", cell, &[("error", Json::Str(msg.clone()))]));
+    let _ = out.emit(&cell_event("error", cell, &[("error", Json::Str(msg.clone()))]));
     RunError::Request(msg)
 }
 
@@ -552,4 +710,37 @@ fn result_event(
         ),
         ("artifact".into(), artifact.clone()),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::SocketAddrV6;
+
+    #[test]
+    fn a_timed_out_read_is_a_408_and_anything_else_a_400() {
+        let status = |kind| read_failure_status(&io::Error::new(kind, "read failed"));
+        assert_eq!(status(io::ErrorKind::WouldBlock), 408);
+        assert_eq!(status(io::ErrorKind::TimedOut), 408);
+        assert_eq!(status(io::ErrorKind::InvalidData), 400);
+        assert_eq!(status(io::ErrorKind::UnexpectedEof), 400);
+        assert_eq!(status(io::ErrorKind::ConnectionReset), 400);
+    }
+
+    #[test]
+    fn the_wake_up_reaches_every_interface_binding_over_loopback() {
+        let wake = |addr: &str| wake_addr(addr.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:7878"), "127.0.0.1:7878");
+        assert_eq!(wake("[::]:7878"), "[::1]:7878");
+        assert_eq!(wake("127.0.0.1:80"), "127.0.0.1:80");
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80");
+        assert_eq!(wake("[fe80::1]:80"), "[fe80::1]:80");
+        // A link-local listener is reachable only through its scope.
+        assert_eq!(wake("[fe80::1%2]:80"), "[fe80::1%2]:80");
+        let scoped = SocketAddr::V6(SocketAddrV6::new(Ipv6Addr::UNSPECIFIED, 80, 7, 2));
+        assert_eq!(
+            wake_addr(scoped),
+            SocketAddr::V6(SocketAddrV6::new(Ipv6Addr::LOCALHOST, 80, 7, 2))
+        );
+    }
 }

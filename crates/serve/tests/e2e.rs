@@ -2,12 +2,12 @@
 //! bit-identity with the CLI run path, concurrent dedup, graceful
 //! drain, timeouts and error routing.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 use zbp_serve::{ServeState, Server};
 use zbp_sim::cache::CellCache;
 use zbp_sim::experiments::ExperimentOptions;
@@ -19,18 +19,19 @@ struct TestServer {
     shutdown: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
     dir: PathBuf,
+    state: Arc<ServeState>,
 }
 
 fn boot(tag: &str, len: u64) -> TestServer {
     let dir = std::env::temp_dir().join(format!("zbp-serve-e2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let state = ServeState::new(ExperimentOptions::quick(len, 7), dir.join("cache"), 2);
-    let server = Server::bind("127.0.0.1:0", state).expect("bind");
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&state)).expect("bind");
     let addr = server.local_addr().expect("addr");
     let shutdown = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&shutdown);
     let handle = std::thread::spawn(move || server.run(&flag));
-    TestServer { addr, shutdown, handle: Some(handle), dir }
+    TestServer { addr, shutdown, handle: Some(handle), dir, state }
 }
 
 impl TestServer {
@@ -163,14 +164,26 @@ fn concurrent_identical_requests_compute_each_cell_once() {
     server.stop();
 }
 
+fn metric(addr: SocketAddr, name: &str) -> f64 {
+    let (status, body) = http(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    match Json::parse(&body).expect("metrics json").get(name) {
+        Some(Json::Num(n)) => *n,
+        other => panic!("/metrics {name}: {other:?}"),
+    }
+}
+
 #[test]
 fn sigterm_drains_active_requests_and_queued_cells() {
     let server = boot("drain", 2_000);
     let addr = server.addr;
     let request =
         std::thread::spawn(move || http(addr, "POST", "/run", r#"{"experiment":"fig4"}"#));
-    // Let the request land, then pull the plug while it is in flight.
-    std::thread::sleep(Duration::from_millis(30));
+    // Pull the plug once the request is in flight.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while metric(addr, "active_requests") < 1.0 {
+        assert!(Instant::now() < deadline, "the request never became active");
+    }
     server.shutdown.store(true, Ordering::SeqCst);
     let (status, body) = request.join().expect("request thread");
     assert_eq!(status, 200, "the in-flight request completed despite shutdown");
@@ -253,5 +266,136 @@ fn info_experiments_and_metrics_endpoints_respond() {
     assert_eq!(status, 404);
     let (status, _) = http(server.addr, "DELETE", "/run", "");
     assert_eq!(status, 405);
+    server.stop();
+}
+
+/// Whether an idle server bound to `addr` — one that never receives a
+/// request — returns from `run` within `limit` of its shutdown flag.
+/// The server runs on a thread of its own and is waited for through a
+/// channel, so a regression fails the test instead of hanging it.
+fn idle_server_stops_within(tag: &str, addr: &str, limit: Duration) -> bool {
+    let dir = std::env::temp_dir().join(format!("zbp-serve-e2e-{tag}-{}", std::process::id()));
+    let state = ServeState::new(ExperimentOptions::quick(2_000, 7), dir.join("cache"), 1);
+    let server = Server::bind(addr, state).expect("bind");
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&shutdown);
+    let (done, returned) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        server.run(&flag);
+        let _ = done.send(());
+    });
+    // Most likely the loop is blocked in accept by now; the check holds
+    // whenever the flag goes up.
+    std::thread::sleep(Duration::from_millis(50));
+    shutdown.store(true, Ordering::SeqCst);
+    let stopped = returned.recv_timeout(limit).is_ok();
+    if stopped {
+        handle.join().expect("run returned without panicking");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    stopped
+}
+
+#[test]
+fn an_idle_loopback_server_stops_promptly() {
+    let limit = Duration::from_secs(2);
+    assert!(
+        idle_server_stops_within("idle4", "127.0.0.1:0", limit),
+        "still running after {limit:?}"
+    );
+}
+
+#[test]
+fn an_idle_server_on_every_interface_stops_promptly() {
+    // Bound to 0.0.0.0 the wake-up must connect over loopback.
+    let limit = Duration::from_secs(2);
+    assert!(
+        idle_server_stops_within("idleany", "0.0.0.0:0", limit),
+        "still running after {limit:?}"
+    );
+}
+
+#[test]
+fn an_unreadable_request_gets_a_400_and_counts_as_an_error() {
+    let server = boot("badhead", 2_000);
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    stream.write_all(b"NONSENSE\r\n\r\n").expect("send");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read");
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(response.contains("malformed request line"), "{response}");
+    let (_, body) = http(server.addr, "GET", "/metrics", "");
+    let metrics = Json::parse(&body).expect("metrics json");
+    assert_eq!(metrics.get("errors"), Some(&Json::Num(1.0)));
+    assert_eq!(metrics.get("requests"), Some(&Json::Num(1.0)), "only /metrics was read");
+    server.stop();
+}
+
+#[test]
+fn cold_and_warm_runs_read_each_cell_once() {
+    let server = boot("reads", 2_000);
+    let reads = || server.state.cache.reads();
+    let (status, body) = http(server.addr, "POST", "/run", r#"{"experiment":"fig4"}"#);
+    assert_eq!(status, 200);
+    let cells = served_count(result_event(&events(&body)), "cells") as u64;
+    // Cold: nothing to read while streaming; the assembly reads each
+    // computed cell once.
+    assert_eq!(reads(), cells);
+    let before = reads();
+    let (status, body) = http(server.addr, "POST", "/run", r#"{"experiment":"fig4"}"#);
+    assert_eq!(status, 200);
+    assert_eq!(served_count(result_event(&events(&body)), "cache_hits"), cells as f64);
+    // Warm: each cell is read while streaming, and the assembly takes
+    // those results instead of reading them again.
+    assert_eq!(reads() - before, cells);
+    server.stop();
+}
+
+#[test]
+fn events_emitted_before_a_wait_reach_the_client_during_it() {
+    // A claim held here stands for another process computing the
+    // request's first cell, so the daemon waits on that cell. Every
+    // event it emitted up to the wait must already be on the wire.
+    let server = boot("flushwait", 2_000);
+    let spec = registry::find("fig4").expect("fig4 registered");
+    let cells = spec.grid_session(&ExperimentOptions::quick(2_000, 7)).expect("a grid").cells();
+    let first = cells[0].key.digest();
+    let claim = CellCache::at(server.dir.join("cache")).try_claim(&cells[0].key).expect("claim");
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    // Held events would leave the reads below blocked until the claim
+    // expires: time out instead of hanging.
+    stream.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+    let body = r#"{"experiment":"fig4"}"#;
+    write!(stream, "POST /run HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+        .expect("send");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    while line != "\r\n" {
+        line.clear();
+        reader.read_line(&mut line).expect("response head");
+    }
+    let mut before_wait = Vec::new();
+    loop {
+        line.clear();
+        reader.read_line(&mut line).expect("an event emitted before the wait");
+        let event = Json::parse(&line).expect("event line parses");
+        let running_first = event.get("event") == Some(&Json::Str("running".into()))
+            && event.get("cell") == Some(&Json::Str(first.clone()));
+        before_wait.push(event);
+        if running_first {
+            break;
+        }
+    }
+    assert_eq!(before_wait[0].get("event"), Some(&Json::Str("plan".into())));
+    let queued = before_wait.iter().filter(|e| e.get("event") == Some(&Json::Str("queued".into())));
+    assert_eq!(queued.count(), cells.len(), "every cell was queued before the wait");
+    assert_eq!(metric(server.addr, "active_requests"), 1.0, "the request is still waiting");
+    // The claim holder gives up without publishing: the daemon computes
+    // the cell itself and the request completes.
+    drop(claim);
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).expect("the rest of the stream");
+    let result = result_event(&events(&rest)).clone();
+    assert_eq!(served_count(&result, "cells"), cells.len() as f64);
     server.stop();
 }

@@ -13,10 +13,11 @@
 //! Cache files are written atomically (temp file in the same directory,
 //! then rename), embed the full key string for collision detection, and
 //! hold the cell result as JSON. Results read back from the cache are
-//! bit-identical to fresh ones because the cached execution path
-//! round-trips *every* cell through JSON, hit or miss (the JSON writer
-//! uses shortest-round-trip float rendering, and all cell counters are
-//! integers well below 2^53).
+//! bit-identical to fresh ones because every cell result is read out of
+//! the bytes a cache file holds: a hit decodes the value [`CellCache::load`]
+//! parsed from the file, and a freshly computed cell is rendered and
+//! parsed back before use (the JSON writer uses shortest-round-trip float
+//! rendering, and all cell counters are integers well below 2^53).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,12 +138,14 @@ impl Drop for ClaimGuard {
 ///
 /// `CellCache::disabled()` is a null cache: loads always miss, stores
 /// are dropped. The cached execution path treats it exactly like a real
-/// cache (including the JSON round-trip of results), so fresh and
-/// resumed runs produce bit-identical artifacts.
+/// cache (each computed result is still rendered and parsed back, as it
+/// would be read by a later hit), so fresh and resumed runs produce
+/// bit-identical artifacts.
 #[derive(Debug)]
 pub struct CellCache {
     dir: Option<PathBuf>,
     read: bool,
+    reads: AtomicU64,
     stores: AtomicU64,
     abort_after: Option<u64>,
     claim_ttl: Duration,
@@ -154,6 +157,7 @@ impl CellCache {
         Self {
             dir: Some(dir.into()),
             read: true,
+            reads: AtomicU64::new(0),
             stores: AtomicU64::new(0),
             abort_after: None,
             claim_ttl: DEFAULT_CLAIM_TTL,
@@ -171,6 +175,7 @@ impl CellCache {
         Self {
             dir: None,
             read: false,
+            reads: AtomicU64::new(0),
             stores: AtomicU64::new(0),
             abort_after: None,
             claim_ttl: DEFAULT_CLAIM_TTL,
@@ -195,6 +200,13 @@ impl CellCache {
     /// The cache directory, if any.
     pub fn dir(&self) -> Option<&Path> {
         self.dir.as_deref()
+    }
+
+    /// Entries this cache has read from disk: every [`Self::load`] that
+    /// found a file, whether or not the entry then proved usable. Misses
+    /// on absent files are not reads.
+    pub fn reads(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed)
     }
 
     /// Test hook: panic on the `n+1`-th store, simulating a grid run
@@ -231,7 +243,10 @@ impl CellCache {
         }
         let path = self.path_for(key)?;
         let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
+            Ok(text) => {
+                self.reads.fetch_add(1, Ordering::Relaxed);
+                text
+            }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
             Err(e) => {
                 if remove_damaged(&path) {

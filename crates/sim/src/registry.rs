@@ -27,11 +27,13 @@ use crate::report::{mean, render_csv, render_table};
 use crate::session::{CacheStats, SessionGrid, SimSession};
 use crate::simpoint::{self, SimPointSpec};
 use crate::sweep::{points_from_grid, sweep_configs};
+use std::sync::OnceLock;
 use std::time::{Instant, SystemTime};
 use zbp_support::json::{FromJson, Json, ToJson};
 use zbp_trace::profile::WorkloadProfile;
 use zbp_trace::source::WorkloadSource;
 use zbp_trace::TraceStats;
+use zbp_uarch::core::CoreResult;
 
 /// Version stamped into artifact manifests. Bumped to 2 when the
 /// `workload_sources` provenance field landed (the workload-source
@@ -202,6 +204,27 @@ impl ExperimentSpec {
     /// [`CellCache::disabled`] for a pure in-memory run,
     /// [`CellCache::write_only`] for `--fresh` semantics.
     pub fn run(&self, opts: &ExperimentOptions, cache: &CellCache) -> ExperimentRun {
+        self.run_with_hits(opts, cache, &[])
+    }
+
+    /// [`Self::run`], given the cells of [`Self::grid_session`] that the
+    /// caller already read from `cache` (one slot per cell, in
+    /// [`SimSession::cells`] order; see
+    /// [`SimSession::run_cached_with_hits`]). The same gather,
+    /// post-processing and manifest code runs; only the handed-in cells
+    /// are not read again. Only grid specs take hits: `known_hits` must
+    /// be empty for the others.
+    pub fn run_with_hits(
+        &self,
+        opts: &ExperimentOptions,
+        cache: &CellCache,
+        known_hits: &[Option<CoreResult>],
+    ) -> ExperimentRun {
+        assert!(
+            known_hits.is_empty() || matches!(self.kind, Kind::Grid { .. }),
+            "{} has no grid to take cache hits for",
+            self.id
+        );
         crate::parallel::set_worker_cap(opts.workers);
         let t0 = Instant::now();
         // The store's counters are cumulative across the process (the
@@ -219,7 +242,7 @@ impl ExperimentSpec {
                 let (grid, stats) = SimSession::from_options(opts)
                     .workloads(sources.clone())
                     .configs(configs())
-                    .run_cached(cache);
+                    .run_cached_with_hits(cache, known_hits);
                 (post(&grid), stats)
             }
             Kind::Custom(run) => run(&sources, opts, cache),
@@ -304,17 +327,24 @@ fn roundtrip_stats(entry: &Json) -> Option<TraceStats> {
 }
 
 /// Best-effort `git rev-parse HEAD` for provenance manifests; returns
-/// `"unknown"` outside a git checkout.
+/// `"unknown"` outside a git checkout. Taken at first use in the
+/// process and reused after that, so a long-lived daemon does not spawn
+/// `git` once per request.
 pub fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    static REVISION: OnceLock<String> = OnceLock::new();
+    REVISION
+        .get_or_init(|| {
+            std::process::Command::new("git")
+                .args(["rev-parse", "HEAD"])
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .unwrap_or_else(|| "unknown".to_string())
+        })
+        .clone()
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,15 @@
 //! width. Workloads whose capture would exceed
 //! [`SimSession::materialize_cap`] replay their re-runnable generator
 //! per column instead, trading the redundant walks back for flat memory.
+//!
+//! [`SimSession::run_cached`] runs the same grid through the cell cache.
+//! A hit costs one file read and one parse: it is decoded from the value
+//! the cache parsed out of the file ([`cached_cell`]), and only freshly
+//! computed cells take the render → parse round trip that makes them
+//! read exactly like a hit. A caller that already holds some hits — the
+//! serving daemon streams every cell before it assembles the artifact —
+//! hands them in through [`SimSession::run_cached_with_hits`] so that
+//! no cell is read twice.
 
 use crate::cache::{CellCache, CellKey};
 use crate::config::SimConfig;
@@ -357,11 +366,7 @@ impl SimSession {
     /// needs to resolve, deduplicate and shard cells individually while
     /// staying bit-compatible with CLI runs over the same cache.
     pub fn cells(&self) -> Vec<SessionCell> {
-        let config_jsons: Vec<(String, String)> = self
-            .configs
-            .iter()
-            .map(|c| (json::to_string(&c.predictor), json::to_string(&c.uarch)))
-            .collect();
+        let config_jsons = self.config_jsons();
         let mut cells = Vec::with_capacity(self.workloads.len() * self.configs.len());
         for (row, s) in self.workloads.iter().enumerate() {
             let len = self.effective_len(s);
@@ -377,6 +382,15 @@ impl SimSession {
             }
         }
         cells
+    }
+
+    /// Each configuration's predictor and front-end JSON: the part of a
+    /// cell's [`CellKey`] that names its column.
+    fn config_jsons(&self) -> Vec<(String, String)> {
+        self.configs
+            .iter()
+            .map(|c| (json::to_string(&c.predictor), json::to_string(&c.uarch)))
+            .collect()
     }
 
     /// Computes the configuration columns `cols` (indices into the
@@ -395,11 +409,12 @@ impl SimSession {
     /// of a workload row are simulated (against one shared capture, as
     /// in the uncached path) and stored.
     ///
-    /// Every cell — hit or freshly computed — is round-tripped through
-    /// its rendered JSON form before entering the grid, so a resumed run
-    /// is bit-identical to a fresh one: both paths read the result out
-    /// of the exact bytes a cache file holds. ([`CoreResult`] is all
-    /// integers and strings, so the round-trip is lossless.)
+    /// Every cell enters the grid as read out of the bytes a cache file
+    /// holds, so a resumed run is bit-identical to a fresh one. A hit is
+    /// decoded from the value [`CellCache::load`] parsed from the file
+    /// ([`cached_cell`]); a freshly computed cell is rendered and parsed
+    /// back first. ([`CoreResult`] is all integers and strings, so the
+    /// round trip is lossless.)
     ///
     /// Cache keys deliberately exclude the configuration's display name:
     /// a sweep variant and a Table-3 column with identical predictor +
@@ -414,25 +429,57 @@ impl SimSession {
     /// dies without publishing. Either way the cell's bytes are
     /// identical, so claims shift work, never results.
     pub fn run_cached(&self, cache: &CellCache) -> (SessionGrid, CacheStats) {
+        self.run_cached_with_hits(cache, &[])
+    }
+
+    /// [`Self::run_cached`], given the hits a caller already read from
+    /// `cache`: `known_hits` is empty or holds one slot per cell of
+    /// [`Self::cells`], in that order. A `Some` cell counts as a cache
+    /// hit and is not read again; every other cell is gathered exactly
+    /// as [`Self::run_cached`] gathers it — loaded, or claimed and
+    /// computed when its entry is gone.
+    ///
+    /// This is how `zbp-serve` assembles an artifact from the cells it
+    /// already streamed without reading each of them twice. A grid
+    /// handed in whole is gathered on the calling thread.
+    pub fn run_cached_with_hits(
+        &self,
+        cache: &CellCache,
+        known_hits: &[Option<CoreResult>],
+    ) -> (SessionGrid, CacheStats) {
+        let width = self.configs.len();
+        let cells = self.workloads.len() * width;
+        assert!(
+            known_hits.is_empty() || known_hits.len() == cells,
+            "{} known hits for a grid of {cells} cells",
+            known_hits.len()
+        );
         let hits = AtomicU64::new(0);
         let claims_won = AtomicU64::new(0);
         let claims_lost = AtomicU64::new(0);
         let dedup_served = AtomicU64::new(0);
         let pool = CapturePool::default();
-        let config_jsons: Vec<(String, String)> = self
-            .configs
-            .iter()
-            .map(|c| (json::to_string(&c.predictor), json::to_string(&c.uarch)))
-            .collect();
-        let per_workload: Vec<Vec<SimResult>> = par_map(&self.workloads, |s| {
+        let config_jsons = self.config_jsons();
+        let rows: Vec<usize> = (0..self.workloads.len()).collect();
+        let gather_row = |&row: &usize| -> Vec<SimResult> {
+            let s = &self.workloads[row];
             let len = self.effective_len(s);
             let source_json = s.key_json();
             let keys: Vec<CellKey> = config_jsons
                 .iter()
                 .map(|(pred, uarch)| CellKey::sim(&source_json, self.seed, len, pred, uarch))
                 .collect();
-            let mut cores: Vec<Option<CoreResult>> =
-                keys.iter().map(|k| cache.load(k).and_then(|j| roundtrip(&j))).collect();
+            let mut cores: Vec<Option<CoreResult>> = keys
+                .iter()
+                .enumerate()
+                .map(|(col, k)| {
+                    known_hits
+                        .get(row * width + col)
+                        .cloned()
+                        .flatten()
+                        .or_else(|| cached_cell(cache, k))
+                })
+                .collect();
             hits.fetch_add(cores.iter().flatten().count() as u64, Ordering::Relaxed);
             let missing: Vec<usize> = (0..cores.len()).filter(|&i| cores[i].is_none()).collect();
             if !missing.is_empty() {
@@ -464,7 +511,7 @@ impl SimSession {
                 drop(guards);
                 let orphaned: Vec<usize> = theirs
                     .into_iter()
-                    .filter(|&i| match cache.wait_for(&keys[i]).and_then(|j| roundtrip(&j)) {
+                    .filter(|&i| match awaited_cell(cache, &keys[i]) {
                         Some(core) => {
                             dedup_served.fetch_add(1, Ordering::Relaxed);
                             cores[i] = Some(core);
@@ -490,17 +537,24 @@ impl SimSession {
                     core: core.expect("every cell filled"),
                 })
                 .collect()
-        });
+        };
+        // A grid handed in whole has nothing to read, claim or compute,
+        // so fanning its rows out would only spawn and join threads.
+        let handed_in_whole = !known_hits.is_empty() && known_hits.iter().all(Option::is_some);
+        let per_workload: Vec<Vec<SimResult>> = if handed_in_whole {
+            rows.iter().map(gather_row).collect()
+        } else {
+            par_map(&rows, gather_row)
+        };
         let grid = SessionGrid {
             workloads: self.workloads.iter().map(|s| s.name().to_string()).collect(),
             configs: self.configs.iter().map(|c| c.name.clone()).collect(),
             results: per_workload.into_iter().flatten().collect(),
         };
-        let cells = (self.workloads.len() * self.configs.len()) as u64;
         (
             grid,
             CacheStats {
-                cells,
+                cells: cells as u64,
                 hits: hits.into_inner(),
                 claims_won: claims_won.into_inner(),
                 claims_lost: claims_lost.into_inner(),
@@ -523,11 +577,35 @@ struct CapturePool {
     compact: Mutex<Vec<CompactParts>>,
 }
 
-/// Normalizes a cell result through its rendered JSON bytes — the form
-/// every cache file holds — so cached and computed cells are read back
-/// identically.
+/// The cached result for `key`, decoded from the value [`CellCache::load`]
+/// parsed out of the entry's file, or `None` on a miss or an entry that
+/// does not decode. This is what a cache hit is everywhere a grid cell
+/// is read: [`SimSession::run_cached`] and `zbp-serve` alike.
+pub fn cached_cell(cache: &CellCache, key: &CellKey) -> Option<CoreResult> {
+    cache.load(key).and_then(|entry| decode(&entry))
+}
+
+/// [`cached_cell`] for a cell whose claim another process holds: waits
+/// for that claim to resolve ([`CellCache::wait_for`]), then decodes the
+/// entry it left, or gives `None` when there is none that decodes and
+/// the cell must be computed here.
+pub fn awaited_cell(cache: &CellCache, key: &CellKey) -> Option<CoreResult> {
+    cache.wait_for(key).and_then(|entry| decode(&entry))
+}
+
+/// Decodes a cell result parsed from a cache file's bytes. Parsing
+/// maps an out-of-range literal such as `1e400` to an infinity, which
+/// no integer field accepts, so such an entry fails here just as it
+/// failed the render → parse round trip (which turns it into `null`).
+fn decode(entry: &Json) -> Option<CoreResult> {
+    CoreResult::from_json(entry).ok()
+}
+
+/// Normalizes a freshly computed cell result through its rendered JSON
+/// bytes — the form every cache file holds — so computed cells are read
+/// back exactly as a later hit decodes them.
 fn roundtrip(entry: &Json) -> Option<CoreResult> {
-    CoreResult::from_json(&Json::parse(&entry.render()).ok()?).ok()
+    decode(&Json::parse(&entry.render()).ok()?)
 }
 
 /// Cache accounting for one [`SimSession::run_cached`] call.
@@ -697,15 +775,21 @@ mod tests {
     fn cached_runs_are_bit_identical_and_hit_on_rerun() {
         let dir = std::env::temp_dir().join(format!("zbp-session-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        // The Table-3 columns plus one direction backend: every hit,
+        // decoded straight from its file, equals the computed cell.
+        let tage = SimConfig::direction_backends().pop().expect("a direction backend");
         let session = SimSession::new()
             .seed(5)
             .max_len(6_000)
             .workloads(vec![WorkloadProfile::tpf_airline(), WorkloadProfile::zlinux_informix()])
-            .configs(vec![SimConfig::no_btb2(), SimConfig::btb2_enabled()]);
-        let (cold, s1) = session.run_cached(&CellCache::at(&dir));
-        assert_eq!(s1, CacheStats { cells: 4, claims_won: 4, ..Default::default() });
-        let (warm, s2) = session.run_cached(&CellCache::at(&dir));
-        assert_eq!(s2, CacheStats { cells: 4, hits: 4, ..Default::default() });
+            .configs(SimConfig::table3().into_iter().chain([tage]));
+        let cache = CellCache::at(&dir);
+        let (cold, s1) = session.run_cached(&cache);
+        assert_eq!(s1, CacheStats { cells: 8, claims_won: 8, ..Default::default() });
+        assert_eq!(cache.reads(), 0, "a cold grid finds no entry to read");
+        let (warm, s2) = session.run_cached(&cache);
+        assert_eq!(s2, CacheStats { cells: 8, hits: 8, ..Default::default() });
+        assert_eq!(cache.reads(), 8, "a warm grid reads each entry once");
         let (uncached, s3) = session.run_cached(&CellCache::disabled());
         assert_eq!(s3.hits, 0);
         let plain = session.run();
@@ -717,6 +801,180 @@ mod tests {
                 assert_eq!(cell.core, plain.result(w, c).core, "({w}, {c}) run() diverged");
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn cache_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("zbp-session-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Writes `result_text` verbatim as the cache entry for `key`, the
+    /// way a file can hold it whatever our writer would have rendered.
+    fn write_raw_entry(dir: &std::path::Path, key: &CellKey, result_text: &str) {
+        std::fs::create_dir_all(dir).unwrap();
+        let text = format!(
+            "{{\"key\":{},\"schema_version\":1,\"result\":{result_text}}}",
+            Json::Str(key.as_str().to_string()).render()
+        );
+        std::fs::write(dir.join(format!("{}.json", key.digest())), text).unwrap();
+    }
+
+    #[test]
+    fn handed_in_hits_are_not_read_again() {
+        let dir = cache_dir("handin");
+        let session = SimSession::new()
+            .seed(31)
+            .max_len(5_000)
+            .workloads(vec![
+                WorkloadProfile::tpf_airline(),
+                WorkloadProfile::zlinux_informix(),
+                WorkloadProfile::zos_trade6(),
+            ])
+            .configs(vec![SimConfig::no_btb2(), SimConfig::btb2_enabled()]);
+        let cache = CellCache::at(&dir);
+        let (cold, _) = session.run_cached(&cache);
+        let cells = session.cells();
+        let mut known: Vec<Option<CoreResult>> =
+            cells.iter().map(|c| cached_cell(&cache, &c.key)).collect();
+        // Cell 1 is not handed in and is read by the gather; cell 2's
+        // entry vanishes after it was read, and it is recomputed inline;
+        // the last row is handed in whole.
+        known[1] = None;
+        known[2] = None;
+        std::fs::remove_file(dir.join(format!("{}.json", cells[2].key.digest()))).unwrap();
+        let reads = cache.reads();
+        let (grid, stats) = session.run_cached_with_hits(&cache, &known);
+        assert_eq!(cache.reads() - reads, 1, "only the cell not handed in is read");
+        assert_eq!(stats, CacheStats { cells: 6, hits: 5, claims_won: 1, ..Default::default() });
+        // Handed in whole, the grid is gathered without a single read.
+        let all: Vec<Option<CoreResult>> =
+            cells.iter().map(|c| cached_cell(&cache, &c.key)).collect();
+        let reads = cache.reads();
+        let (whole, whole_stats) = session.run_cached_with_hits(&cache, &all);
+        assert_eq!(cache.reads(), reads, "a grid handed in whole is not read");
+        assert_eq!(whole_stats, CacheStats { cells: 6, hits: 6, ..Default::default() });
+        for w in cold.workloads() {
+            for c in cold.configs() {
+                assert_eq!(cold.result(w, c).core, grid.result(w, c).core, "({w}, {c})");
+                assert_eq!(cold.result(w, c).core, whole.result(w, c).core, "({w}, {c})");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `value` with each leaf in turn (and the whole value) replaced
+    /// by `with`, one copy per leaf.
+    fn each_leaf_replaced(value: &Json, with: &Json) -> Vec<Json> {
+        let mut out = vec![with.clone()];
+        match value {
+            Json::Obj(pairs) => {
+                for (i, (_, child)) in pairs.iter().enumerate() {
+                    for replaced in each_leaf_replaced(child, with) {
+                        let mut copy = pairs.clone();
+                        copy[i].1 = replaced;
+                        out.push(Json::Obj(copy));
+                    }
+                }
+            }
+            Json::Arr(items) => {
+                for (i, child) in items.iter().enumerate() {
+                    for replaced in each_leaf_replaced(child, with) {
+                        let mut copy = items.clone();
+                        copy[i] = replaced;
+                        out.push(Json::Arr(copy));
+                    }
+                }
+            }
+            _ => {}
+        }
+        out
+    }
+
+    #[test]
+    fn direct_decode_agrees_with_the_round_trip_on_every_entry() {
+        // Entries as a file may hold them: our own compact and pretty
+        // renderings, every field of a real result set in turn to a
+        // literal of each JSON kind (out-of-range numbers included), and
+        // hand-edited names and duplicate keys. Each decodes directly to
+        // exactly what the old load + render → parse round trip gave,
+        // and is refused exactly when that was.
+        let dir = cache_dir("decodeeq");
+        let core = SimSession::new()
+            .seed(3)
+            .max_len(3_000)
+            .workload(WorkloadProfile::tpf_airline())
+            .config(SimConfig::btb2_enabled())
+            .run()
+            .results[0]
+            .core
+            .clone();
+        let compact = core.to_json().render();
+        let mut variants = vec![compact.clone(), core.to_json().render_pretty()];
+        let marker = Json::Str("\u{1}leaf".into());
+        let marked = marker.render();
+        for literal in [
+            "1e400",
+            "-1e400",
+            "1e-400",
+            "1e30",
+            "-0",
+            "-5",
+            "1.5",
+            "9007199254740993",
+            "null",
+            "true",
+            "\"7\"",
+            "[]",
+            "{}",
+        ] {
+            for edited in each_leaf_replaced(&core.to_json(), &marker) {
+                variants.push(edited.render().replace(&marked, literal));
+            }
+        }
+        let cycles = format!("\"cycles\":{}", core.cycles);
+        for edit in
+            ["\"cycles\":2,\"cycles\":1e400", "\"cycles\":1e400,\"cycles\":2", "\"x\":1e400"]
+        {
+            variants.push(compact.replacen(&cycles, edit, 1));
+        }
+        variants.push(compact.replacen("\"name\":\"", "\"name\":\"\\u00e9\\\"\\/\\t\\ud800", 1));
+        let (mut accepted, mut refused) = (0, 0);
+        for (n, text) in variants.iter().enumerate() {
+            let key = CellKey::sim("{}", n as u64, 1, "{}", "{}");
+            write_raw_entry(&dir, &key, text);
+            let entry = CellCache::at(&dir).load(&key).expect("every variant parses");
+            let direct = decode(&entry);
+            assert_eq!(direct, roundtrip(&entry), "variant {n}: {text}");
+            if direct.is_some() {
+                accepted += 1;
+            } else {
+                refused += 1;
+            }
+        }
+        assert!(accepted > 100 && refused > 100, "{accepted} accepted, {refused} refused");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_out_of_range_counter_reads_as_a_miss_and_is_recomputed() {
+        let dir = cache_dir("outofrange");
+        let session = SimSession::new()
+            .seed(37)
+            .max_len(4_000)
+            .workload(WorkloadProfile::tpf_airline())
+            .configs(vec![SimConfig::no_btb2(), SimConfig::btb2_enabled()]);
+        let (cold, _) = session.run_cached(&CellCache::at(&dir));
+        let key = session.cells()[1].key.clone();
+        let good = cold.results[1].core.to_json().render();
+        let cycles = format!("\"cycles\":{}", cold.results[1].core.cycles);
+        write_raw_entry(&dir, &key, &good.replacen(&cycles, "\"cycles\":1e400", 1));
+        assert!(cached_cell(&CellCache::at(&dir), &key).is_none(), "1e400 is no counter");
+        let (rerun, stats) = session.run_cached(&CellCache::at(&dir));
+        assert_eq!(stats, CacheStats { cells: 2, hits: 1, claims_won: 1, ..Default::default() });
+        assert_eq!(rerun.results[1].core, cold.results[1].core);
+        assert_eq!(cached_cell(&CellCache::at(&dir), &key), Some(cold.results[1].core.clone()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

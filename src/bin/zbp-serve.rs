@@ -53,7 +53,8 @@ ZBP_CACHE_DIR, ZBP_TRACE_STORE and ZBP_RESULTS_DIR are read first;
 command-line flags override them.
 ";
 
-/// Set by the signal handler; polled by the accept loop.
+/// Set by the signal handler; `Server::run`'s shutdown watcher polls it
+/// and wakes the blocked accept loop.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_signal(_signum: i32) {
