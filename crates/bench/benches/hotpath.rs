@@ -1,11 +1,10 @@
-//! Microbenchmarks of the two replay hot paths introduced by the compact
-//! trace encoding: the `BtbArray::entries_in_line_into` row read that the
-//! bulk-transfer drain loops over, and the compact branch-point decode
-//! loop that run-batched replay advances through. Per-instruction replay
-//! costs for both trace forms are reported alongside — plus the
-//! decode-once lane kernel at widths 1/2/4/8, as per-lane ns/instr — so
-//! a regression in either inner loop shows up as ns/instr, not just as
-//! a slower grid.
+//! Microbenchmarks of the replay hot paths: the
+//! `BtbArray::entries_in_line_into` row read that the bulk-transfer
+//! drain loops over, and the compact branch-point decode loop that the
+//! lane kernel advances through. Per-instruction replay costs of the
+//! lane kernel are reported alongside — per Table-3 column, and at
+//! widths 1/2/4/8 as per-lane ns/instr — so a regression in either
+//! inner loop shows up as ns/instr, not just as a slower grid.
 //!
 //! Timed with the same hand-rolled [`std::time::Instant`] harness as the
 //! `structures` bench (the workspace builds offline, without criterion).
@@ -14,13 +13,10 @@ use std::hint::black_box;
 use std::time::Instant;
 use zbp_predictor::btb::{BtbArray, BtbGeometry};
 use zbp_predictor::entry::BtbEntry;
-use zbp_predictor::PredictorConfig;
 use zbp_sim::SimConfig;
 use zbp_trace::profile::WorkloadProfile;
-use zbp_trace::{
-    BranchKind, CompactTrace, InstAddr, MaterializedTrace, Trace, TraceInstr, VecTrace,
-};
-use zbp_uarch::core::{CoreModel, SamplingSpec};
+use zbp_trace::{BranchKind, CompactTrace, InstAddr, Trace, TraceInstr, VecTrace};
+use zbp_uarch::core::{CoreModel, CoreResult, LaneGroup, ReplayPlan};
 
 /// Times `op` over `iters` iterations (after `iters / 10` warmup calls)
 /// and prints mean ns/op; returns the mean.
@@ -35,6 +31,18 @@ fn bench(name: &str, iters: u64, mut op: impl FnMut()) -> f64 {
     let ns = start.elapsed().as_nanos() as f64 / iters as f64;
     println!("{name:<40} {ns:>12.1} ns/op   ({iters} iters)");
     ns
+}
+
+/// Replays `compact` whole through one lane group of `lanes`.
+fn replay(lanes: Vec<CoreModel>, compact: &CompactTrace) -> Vec<CoreResult> {
+    let mut group = LaneGroup::new(lanes);
+    group.replay(compact, ReplayPlan::Whole, |_, _, _| {});
+    group.finish(compact.name())
+}
+
+/// A fresh model of `config`.
+fn model(config: &SimConfig) -> CoreModel {
+    CoreModel::new(config.uarch, config.predictor.clone())
 }
 
 fn bench_entries_in_line() {
@@ -105,8 +113,8 @@ fn bench_compact_decode(compact: &CompactTrace, instructions: u64) {
 
 /// The run-batched cycle-accounting loop in isolation: a branch-free
 /// straight-line trace compiles to one giant run, so the whole replay is
-/// the `step_run` group loop (LUT decode + serial f64 cycle additions +
-/// line-transition checks) with almost no predictor work.
+/// the span decode (LUT decode + line-transition checks) and the serial
+/// f64 cycle additions, with almost no predictor work.
 fn bench_run_batched_accounting() {
     const LEN: u64 = 200_000;
     let v: Vec<TraceInstr> =
@@ -115,8 +123,7 @@ fn bench_run_batched_accounting() {
     let compact = CompactTrace::capture(&gen).expect("straight-line code compact-encodes");
     let config = SimConfig::btb2_enabled();
     let ns = bench("replay/run_batched_accounting", 20, || {
-        let model = CoreModel::new(config.uarch, config.predictor.clone());
-        black_box(model.run_compact(&compact).cycles);
+        black_box(replay(vec![model(&config)], &compact)[0].cycles);
     });
     println!(
         "{:<40} {:>12.2} ns/instr",
@@ -125,31 +132,14 @@ fn bench_run_batched_accounting() {
     );
 }
 
-fn bench_replay(gen: &impl Trace, compact: &CompactTrace, instructions: u64) {
+fn bench_replay(compact: &CompactTrace, instructions: u64) {
     for config in SimConfig::table3() {
         let name = format!("replay/compact[{}]", config.name);
         let ns = bench(&name, 10, || {
-            let model = CoreModel::new(config.uarch, config.predictor.clone());
-            black_box(model.run_compact(compact).cycles);
+            black_box(replay(vec![model(&config)], compact)[0].cycles);
         });
         println!("{:<40} {:>12.2} ns/instr", format!("{name}_per_instr"), ns / instructions as f64);
     }
-    let config = SimConfig::btb2_enabled();
-    let mat = MaterializedTrace::capture(gen);
-    let ns = bench("replay/record[BTB2 enabled]", 10, || {
-        let model = CoreModel::new(config.uarch, PredictorConfig::zec12());
-        black_box(model.run(&mat).cycles);
-    });
-    println!("{:<40} {:>12.2} ns/instr", "replay/record_per_instr", ns / instructions as f64);
-
-    // Opt-in sampled replay: 1-in-10 windows; the gap to full compact
-    // replay above is what the estimator buys.
-    let spec = SamplingSpec::one_in(10, instructions / 50);
-    let ns = bench("replay/sampled[1-in-10]", 10, || {
-        let model = CoreModel::new(config.uarch, config.predictor.clone());
-        black_box(model.run_compact_sampled(compact, spec).measured_cycles);
-    });
-    println!("{:<40} {:>12.2} ns/instr", "replay/sampled_per_instr", ns / instructions as f64);
 }
 
 /// The decode-once lane kernel at widths 1, 2, 4 and 8: N identical
@@ -161,10 +151,8 @@ fn bench_lane_replay(compact: &CompactTrace, instructions: u64) {
     for lanes in [1usize, 2, 4, 8] {
         let name = format!("replay/lanes[x{lanes}]");
         let ns = bench(&name, 10, || {
-            let models: Vec<CoreModel> = (0..lanes)
-                .map(|_| CoreModel::new(config.uarch, config.predictor.clone()))
-                .collect();
-            black_box(CoreModel::run_compact_lanes(models, compact)[0].cycles);
+            let models: Vec<CoreModel> = (0..lanes).map(|_| model(&config)).collect();
+            black_box(replay(models, compact)[0].cycles);
         });
         println!(
             "{:<40} {:>12.2} ns/instr/lane",
@@ -181,7 +169,7 @@ fn main() {
     let gen = WorkloadProfile::zos_lspr_cb84().build_with_len(0xEC12, LEN);
     let compact = CompactTrace::capture(&gen).expect("generator streams compact-encode");
     bench_compact_decode(&compact, LEN);
-    bench_replay(&gen, &compact, LEN);
+    bench_replay(&compact, LEN);
     bench_lane_replay(&compact, LEN);
     bench_run_batched_accounting();
 }

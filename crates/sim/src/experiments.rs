@@ -40,13 +40,10 @@ pub struct ExperimentOptions {
     /// Cell-cache directory override (`None` = the front end's default,
     /// `results/cache/` for the CLI and bench targets).
     pub cache_dir: Option<PathBuf>,
-    /// Replay captures through the compact branch-point encoding (the
-    /// default). `false` selects the record-based reference path.
-    pub compact: bool,
-    /// Cap on configuration columns per decode-once lane group on the
-    /// compact path (`None` = every column of a grid row replays in one
-    /// group; `1` = sequential per-column replay). Any width is
-    /// bit-identical; this is purely a batching knob.
+    /// Cap on configuration columns per decode-once lane group (`None`
+    /// = every column of a grid row replays in one group; `1` =
+    /// sequential per-column replay). Any width is bit-identical; this
+    /// is purely a batching knob.
     pub lanes: Option<usize>,
     /// Persistent compact-trace store. Disabled by default; the CLI
     /// roots it at `results/traces/`. Shared via `Arc` so every session
@@ -67,7 +64,6 @@ impl Default for ExperimentOptions {
             seed: 0xEC12,
             workers: None,
             cache_dir: None,
-            compact: true,
             lanes: None,
             trace_store: Arc::new(TraceStore::disabled()),
             sources: Vec::new(),
@@ -83,7 +79,6 @@ impl PartialEq for ExperimentOptions {
             && self.seed == other.seed
             && self.workers == other.workers
             && self.cache_dir == other.cache_dir
-            && self.compact == other.compact
             && self.lanes == other.lanes
             && self.trace_store.dir() == other.trace_store.dir()
             && self.trace_store.reads() == other.trace_store.reads()
@@ -102,7 +97,7 @@ impl ExperimentOptions {
     }
 
     /// Reads `ZBP_TRACE_LEN`, `ZBP_SEED`, `ZBP_WORKERS`,
-    /// `ZBP_CACHE_DIR`, `ZBP_COMPACT`, `ZBP_LANES`, `ZBP_TRACE_STORE`,
+    /// `ZBP_CACHE_DIR`, `ZBP_LANES`, `ZBP_TRACE_STORE`,
     /// `ZBP_FRESH_TRACES` and `ZBP_TRACES` (a comma-separated list of
     /// external trace files to ingest as the workload set) from the
     /// environment.
@@ -134,13 +129,6 @@ impl ExperimentOptions {
         }
         if let Some(v) = env_nonempty("ZBP_CACHE_DIR") {
             o.cache_dir = Some(PathBuf::from(v));
-        }
-        if let Some(v) = env_nonempty("ZBP_COMPACT") {
-            o.compact = match v.as_str() {
-                "1" | "true" => true,
-                "0" | "false" => false,
-                _ => return Err(format!("ZBP_COMPACT={v:?}: expected 0/1/true/false")),
-            };
         }
         if let Some(v) = env_nonempty("ZBP_LANES") {
             let n = v
@@ -805,6 +793,10 @@ pub fn tournament_wins(grid: &SessionGrid, winners: &[(String, String)]) -> Vec<
 /// misprediction to its branch site, and returns the `top` sites ranked
 /// by the first (paper) column's count (count descending, address
 /// ascending — fully deterministic).
+///
+/// The workload is captured once, through the grid's row path (served
+/// by the trace store when warm), and every backend rides one lane
+/// group whose observer counts each lane's mispredictions per address.
 pub fn h2p_offenders(
     source: &WorkloadSource,
     opts: &ExperimentOptions,
@@ -812,21 +804,16 @@ pub fn h2p_offenders(
     top: usize,
 ) -> Vec<H2pRow> {
     use std::collections::HashMap;
-    use zbp_trace::Trace;
-    let len = opts.len_for_source(source);
-    let per_backend: Vec<HashMap<u64, u64>> = par_map(configs, |c| {
-        let trace = source.build_with_len(opts.seed, len);
-        let mut model = zbp_uarch::core::CoreModel::new(c.uarch, c.predictor.clone());
-        let mut counts: HashMap<u64, u64> = HashMap::new();
-        for instr in trace.iter() {
-            let retired_branch = !instr.wrong_path && instr.branch.is_some();
-            let before = model.outcomes().mispredict_direction;
-            model.step(&instr);
-            if retired_branch && model.outcomes().mispredict_direction > before {
-                *counts.entry(instr.addr.raw()).or_insert(0) += 1;
-            }
+    let session = SimSession::from_options(opts).workload(source.clone()).configs(configs.to_vec());
+    let mut per_backend: Vec<HashMap<u64, u64>> = vec![HashMap::new(); configs.len()];
+    let mut seen = vec![0u64; configs.len()];
+    session.observe_row(0, |col, model, instr| {
+        // Only a retired branch moves the count, and by at most one.
+        let now = model.outcomes().mispredict_direction;
+        if now > seen[col] {
+            seen[col] = now;
+            *per_backend[col].entry(instr.addr.raw()).or_insert(0) += 1;
         }
-        counts
     });
     let paper = &per_backend[0];
     let mut addrs: Vec<u64> = paper.keys().copied().collect();

@@ -1,11 +1,13 @@
 //! Deterministic differential fuzz harness.
 //!
 //! Samples random (workload, seed, configuration) cells and runs each
-//! one through every execution path the repo maintains — per-record
-//! replay, run-batched compact replay, the JSON cell-cache round-trip,
-//! a fresh recomputation, the persistent trace-store round-trip, and
-//! the decode-once lane-batched replay — diffing all of them against
-//! each other.
+//! one through every execution path the repo maintains — the
+//! per-record reference replay, the decode-once lane kernel (the cell's
+//! configuration as the middle lane, flanked by the other Table-3
+//! columns), the JSON cell-cache round-trip, a fresh recomputation, and
+//! the persistent trace-store round-trip — diffing all of them against
+//! each other, every lane after every retired branch where the paths
+//! replay.
 //! With the `audit` feature enabled the [`zbp_predictor`] structure
 //! auditor additionally checks every internal invariant on every event
 //! of every replay; an auditor panic is caught and reported as a cell
@@ -153,9 +155,10 @@ fn run_cell(index: u64, cell_seed: u64, scratch: &Path) -> CellOutcome {
     }
 }
 
-/// The differential core of one cell: record vs compact (per-branch,
-/// via [`oracle::diff_replay`]), then the cache round-trip, then a
-/// fresh recomputation. Returns the first disagreement.
+/// The differential core of one cell: the record reference vs the lane
+/// kernel (per branch, via [`oracle::diff_replay`]), then the cache
+/// round-trip, a fresh recomputation and the trace-store round-trip.
+/// Returns the first disagreement.
 fn check_cell(
     profile: &WorkloadProfile,
     config: &SimConfig,
@@ -165,12 +168,21 @@ fn check_cell(
 ) -> Option<String> {
     let trace = profile.build_with_len(trace_seed, len);
 
-    // Path 1 vs 2: per-record and compact replay, cross-checked after
-    // every retired branch. Under `--features audit` both replays also
-    // run the full structure auditor.
-    let computed = match oracle::diff_replay(&trace, config.uarch, &config.predictor) {
-        Ok(r) => r,
-        Err(d) => return Some(format!("record/compact divergence: {d}")),
+    // Paths 1, 2 and 6: the per-record reference against one lane
+    // group running this cell's configuration as the middle lane,
+    // flanked by the other Table-3 columns (so shared-decode cross-talk
+    // would surface), every lane cross-checked after every retired
+    // branch. Under `--features audit` every replay also runs the full
+    // structure auditor.
+    let mut flank = SimConfig::table3().into_iter().filter(|c| c.name != config.name);
+    let lanes: Vec<_> = [flank.next(), Some(config.clone()), flank.next()]
+        .into_iter()
+        .flatten()
+        .map(|c| (c.uarch, c.predictor))
+        .collect();
+    let computed = match oracle::diff_replay(&trace, &lanes) {
+        Ok(mut r) => r.swap_remove(1),
+        Err(d) => return Some(format!("record/lane divergence: {d}")),
     };
 
     // Path 3: the cell-cache JSON round-trip — store, reload, reparse —
@@ -200,9 +212,9 @@ fn check_cell(
     }
 
     // Path 5: the trace-store round-trip — capture, persist, load —
-    // must hand back byte-identical streams, and replaying the
-    // store-loaded trace against the original through the per-branch
-    // oracle must agree everywhere (this is the warm-store grid path).
+    // must hand back byte-identical streams, and the store-loaded trace
+    // must replay through the same lane group, per branch, to the first
+    // computation (this is the warm-store grid path).
     let compact = match CompactTrace::capture(&trace) {
         Ok(c) => c,
         Err(e) => return Some(format!("compact capture refused: {e}")),
@@ -222,31 +234,11 @@ fn check_cell(
     {
         return Some("trace-store round-trip changed the streams".into());
     }
-    if let Err(d) = oracle::diff_replay(&loaded, config.uarch, &config.predictor) {
-        return Some(format!("store-loaded/compact divergence: {d}"));
+    match oracle::diff_replay(&loaded, &lanes) {
+        Ok(r) if r[1] == computed => None,
+        Ok(_) => Some("store-loaded replay disagreed with the first computation".into()),
+        Err(d) => Some(format!("store-loaded record/lane divergence: {d}")),
     }
-    let replayed = Simulator::run_config_compact(config, &loaded);
-    if replayed.core != computed {
-        return Some("store-loaded replay disagreed with the first computation".into());
-    }
-
-    // Path 6: the decode-once lane kernel — this cell's configuration
-    // replayed inside a multi-lane group (flanked by the other Table-3
-    // columns, so shared-decode cross-talk would surface) must agree
-    // with the sequential computation in every lane-visible bit.
-    let flank = SimConfig::table3();
-    let lane_configs = vec![&flank[0], config, &flank[2]];
-    let lanes = Simulator::run_configs_compact_lanes(&lane_configs, &compact);
-    if lanes[1].core != computed {
-        return Some("lane replay disagreed with the sequential computation".into());
-    }
-    for (lane, c) in lanes.iter().zip(&lane_configs) {
-        let sequential = Simulator::run_config_compact(c, &compact);
-        if lane.core != sequential.core {
-            return Some(format!("lane replay of flanking config '{}' diverged", c.name));
-        }
-    }
-    None
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -314,7 +306,7 @@ mod tests {
                 workload: "w".into(),
                 config: "c".into(),
                 len: 1000,
-                failure: Some("record/compact divergence: x".into()),
+                failure: Some("record/lane divergence: x".into()),
             }],
         };
         let lines = report.render_lines();

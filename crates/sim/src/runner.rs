@@ -2,7 +2,7 @@
 
 use crate::config::SimConfig;
 use zbp_trace::{CompactTrace, Trace};
-use zbp_uarch::core::{CoreModel, CoreResult, SampledResult, SamplingSpec};
+use zbp_uarch::core::{CoreModel, CoreResult, LaneGroup, ReplayPlan};
 
 /// A configured simulator, ready to replay traces.
 #[derive(Debug, Clone)]
@@ -57,42 +57,26 @@ impl Simulator {
         SimResult { config_name: config.name.clone(), core: model.run(trace) }
     }
 
-    /// Replays a compact branch-point capture under a borrowed
-    /// configuration via the run-batched fast path. Bit-identical to
-    /// [`Self::run_config`] on the equivalent record stream.
-    pub fn run_config_compact(config: &SimConfig, trace: &CompactTrace) -> SimResult {
-        let model = CoreModel::new(config.uarch, config.predictor.clone());
-        SimResult { config_name: config.name.clone(), core: model.run_compact(trace) }
-    }
-
     /// Replays one compact capture under several borrowed
     /// configurations through the decode-once lane kernel
-    /// ([`CoreModel::run_compact_lanes`]): the trace is walked and
-    /// decoded once, with every configuration riding the shared decode
-    /// as an isolated lane. Bit-identical to calling
-    /// [`Self::run_config_compact`] once per configuration.
+    /// ([`LaneGroup`]): the trace is walked and decoded once, with every
+    /// configuration riding the shared decode as an isolated lane. Each
+    /// result is bit-identical to [`Self::run_config`] on the
+    /// equivalent record stream.
     pub fn run_configs_compact_lanes(
         configs: &[&SimConfig],
         trace: &CompactTrace,
     ) -> Vec<SimResult> {
-        let lanes = configs.iter().map(|c| CoreModel::new(c.uarch, c.predictor.clone())).collect();
-        CoreModel::run_compact_lanes(lanes, trace)
+        let mut group = LaneGroup::new(
+            configs.iter().map(|c| CoreModel::new(c.uarch, c.predictor.clone())).collect(),
+        );
+        group.replay(trace, ReplayPlan::Whole, |_, _, _| {});
+        group
+            .finish(trace.name())
             .into_iter()
             .zip(configs)
             .map(|(core, c)| SimResult { config_name: c.name.clone(), core })
             .collect()
-    }
-
-    /// Replays a compact capture with windowed 1-in-N sampling
-    /// ([`CoreModel::run_compact_sampled`]). An estimator for throughput
-    /// studies only — experiment artifacts always use full replay.
-    pub fn run_config_compact_sampled(
-        config: &SimConfig,
-        trace: &CompactTrace,
-        spec: SamplingSpec,
-    ) -> SampledResult {
-        let model = CoreModel::new(config.uarch, config.predictor.clone());
-        model.run_compact_sampled(trace, spec)
     }
 }
 
@@ -129,21 +113,7 @@ mod tests {
     }
 
     #[test]
-    fn sampled_replay_estimates_full_cpi() {
-        let trace = WorkloadProfile::zlinux_informix().build_with_len(7, 40_000);
-        let compact = CompactTrace::capture(&trace).expect("generator streams encode");
-        let config = SimConfig::btb2_enabled();
-        let full = Simulator::run_config_compact(&config, &compact);
-        let spec = SamplingSpec::one_in(4, 2_000);
-        let sampled = Simulator::run_config_compact_sampled(&config, &compact, spec);
-        assert_eq!(sampled.total_instructions, full.core.instructions);
-        assert!(sampled.skipped_instructions > 0);
-        let err = (sampled.cpi() - full.cpi()).abs() / full.cpi();
-        assert!(err < 0.15, "sampled {} vs full {}", sampled.cpi(), full.cpi());
-    }
-
-    #[test]
-    fn lane_batched_replay_matches_per_config_replay() {
+    fn lane_batched_replay_matches_record_replay() {
         let trace = WorkloadProfile::tpf_airline().build_with_len(5, 25_000);
         let compact = CompactTrace::capture(&trace).expect("generator streams encode");
         let configs = [SimConfig::no_btb2(), SimConfig::btb2_enabled(), SimConfig::large_btb1()];
@@ -151,20 +121,9 @@ mod tests {
         let batched = Simulator::run_configs_compact_lanes(&refs, &compact);
         assert_eq!(batched.len(), configs.len());
         for (lane, config) in batched.iter().zip(&configs) {
-            let sequential = Simulator::run_config_compact(config, &compact);
-            assert_eq!(lane.config_name, sequential.config_name);
-            assert_eq!(lane.core, sequential.core, "{}", config.name);
-        }
-    }
-
-    #[test]
-    fn compact_replay_matches_record_replay() {
-        let trace = WorkloadProfile::zlinux_informix().build_with_len(7, 20_000);
-        let compact = CompactTrace::capture(&trace).expect("generator streams encode");
-        for config in [SimConfig::no_btb2(), SimConfig::btb2_enabled()] {
-            let fast = Simulator::run_config_compact(&config, &compact);
-            let reference = Simulator::run_config(&config, &trace);
-            assert_eq!(fast.core, reference.core, "{}", config.name);
+            let reference = Simulator::run_config(config, &trace);
+            assert_eq!(lane.config_name, reference.config_name);
+            assert_eq!(lane.core, reference.core, "{}", config.name);
         }
     }
 }

@@ -1,24 +1,22 @@
 //! Batched simulation sessions.
 //!
 //! A [`SimSession`] describes a workload × configuration grid once and
-//! runs it workload-major — rows fan out across workloads through
-//! [`par_map`]; the configuration columns within a row batch into one
-//! decode-once lane group ([`Simulator::run_configs_compact_lanes`])
-//! that replays the row's shared capture with a single trace walk —
-//! instead of each experiment hand-rolling its own loop over
-//! [`Simulator`]. The resulting [`SessionGrid`] answers the questions
-//! every figure asks: the CPI of a cell, or the improvement of one
-//! configuration over another on the same workload.
+//! runs it workload-major: rows fan out across workloads through
+//! [`par_map`], and the configuration columns within a row batch into
+//! decode-once lane groups ([`LaneGroup`]) that replay the row's one
+//! compact capture with a single trace walk, instead of each experiment
+//! hand-rolling its own loop over [`Simulator`](crate::Simulator). The
+//! resulting [`SessionGrid`] answers the questions every figure asks:
+//! the CPI of a cell, or the improvement of one configuration over
+//! another on the same workload.
 //!
-//! Workload synthesis is shared across each row: the workload's
-//! instruction stream is captured once into a [`MaterializedTrace`] and
-//! every configuration column replays the shared capture — O(W×C)
-//! dynamic walks become O(W) walks plus cheap slice scans — then the
-//! capture is dropped before the next row claims the worker, keeping
-//! resident captures bounded by the worker count rather than the grid
-//! width. Workloads whose capture would exceed
-//! [`SimSession::materialize_cap`] replay their re-runnable generator
-//! per column instead, trading the redundant walks back for flat memory.
+//! Each row is captured once, in compact form only: loaded from the
+//! trace store when one is attached and holds it, otherwise synthesized
+//! and encoded (then persisted to the store). A row whose capture would
+//! exceed [`DEFAULT_MATERIALIZE_CAP`] is captured and replayed chunk by
+//! chunk through the same lane groups instead, so memory stays bounded
+//! by the chunk size whatever the row's length. Capture buffers recycle
+//! across rows, so at most one capture per worker is resident.
 //!
 //! [`SimSession::run_cached`] runs the same grid through the cell cache.
 //! A hit costs one file read and one parse: it is decoded from the value
@@ -33,14 +31,13 @@ use crate::cache::{CellCache, CellKey};
 use crate::config::SimConfig;
 use crate::experiments::ExperimentOptions;
 use crate::parallel::par_map;
-use crate::runner::{SimResult, Simulator};
+use crate::runner::SimResult;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use zbp_support::json::{self, FromJson, Json, ToJson};
-use zbp_trace::materialize::MaterializedTrace;
 use zbp_trace::source::WorkloadSource;
 use zbp_trace::{CompactParts, CompactTrace, Trace, TraceInstr, TraceStore};
-use zbp_uarch::core::CoreResult;
+use zbp_uarch::core::{CoreModel, CoreResult, LaneGroup, ReplayPlan};
 
 /// Builder for a batched workload × configuration run.
 ///
@@ -62,8 +59,6 @@ use zbp_uarch::core::CoreResult;
 pub struct SimSession {
     seed: u64,
     len: Option<u64>,
-    materialize_cap: u64,
-    compact: bool,
     lanes: Option<usize>,
     store: Arc<TraceStore>,
     workloads: Vec<WorkloadSource>,
@@ -76,8 +71,12 @@ impl Default for SimSession {
     }
 }
 
-/// Default per-workload [`SimSession::materialize_cap`]: 1 GiB of record
-/// storage, enough for every Table-4 workload at its default length.
+/// Bound on the compact bytes of one row's capture: a row within it is
+/// captured whole (and persisted to an attached trace store), and a
+/// longer row is captured and replayed in chunks of about this size.
+/// 1 GiB holds every Table-4 workload at its default length whole (the
+/// largest is about 25 MB); only external traces of several hundred
+/// million instructions are chunked.
 pub const DEFAULT_MATERIALIZE_CAP: u64 = 1 << 30;
 
 impl SimSession {
@@ -87,8 +86,6 @@ impl SimSession {
         Self {
             seed: opts.seed,
             len: opts.len,
-            materialize_cap: DEFAULT_MATERIALIZE_CAP,
-            compact: opts.compact,
             lanes: opts.lanes,
             store: Arc::new(TraceStore::disabled()),
             workloads: Vec::new(),
@@ -96,13 +93,12 @@ impl SimSession {
         }
     }
 
-    /// Takes seed, length cap, replay encoding, lane width and trace
-    /// store from [`ExperimentOptions`].
+    /// Takes seed, length cap, lane width and trace store from
+    /// [`ExperimentOptions`].
     pub fn from_options(opts: &ExperimentOptions) -> Self {
         Self {
             seed: opts.seed,
             len: opts.len,
-            compact: opts.compact,
             lanes: opts.lanes,
             store: Arc::clone(&opts.trace_store),
             ..Self::new()
@@ -125,32 +121,11 @@ impl SimSession {
         self
     }
 
-    /// Caps the bytes one workload's capture may occupy when its trace
-    /// is materialized for sharing across configuration columns —
-    /// compact bytes on the default compact path, record bytes on the
-    /// reference path. Workloads over the cap are regenerated per cell
-    /// instead (`0` disables sharing entirely). Defaults to
-    /// [`DEFAULT_MATERIALIZE_CAP`].
-    #[must_use]
-    pub fn materialize_cap(mut self, bytes: u64) -> Self {
-        self.materialize_cap = bytes;
-        self
-    }
-
-    /// Selects the replay encoding: `true` (default) captures into the
-    /// compact branch-point form and replays run-batched; `false` uses
-    /// the record-based reference path. Both are bit-identical.
-    #[must_use]
-    pub fn compact(mut self, compact: bool) -> Self {
-        self.compact = compact;
-        self
-    }
-
     /// Caps how many configuration columns one decode-once lane group
-    /// replays together on the compact path (`None`, the default, bats
-    /// every requested column of a row in a single group; `1` degrades
-    /// to sequential per-column replay). Purely a batching knob — any
-    /// lane width produces bit-identical results.
+    /// replays together (`None`, the default, batches every requested
+    /// column of a row in a single group; `1` degrades to sequential
+    /// per-column replay). Purely a batching knob — any lane width
+    /// produces bit-identical results.
     #[must_use]
     pub fn lanes(mut self, lanes: usize) -> Self {
         self.lanes = Some(lanes);
@@ -161,9 +136,8 @@ impl SimSession {
     /// their capture from disk instead of regenerating it, and freshly
     /// captured rows are persisted for the next run. Store-loaded
     /// replays are bit-identical to generate-and-encode replays (the
-    /// store only short-circuits *capture*, never simulation). Only the
-    /// compact path consults the store; the record reference path
-    /// always regenerates.
+    /// store only short-circuits *capture*, never simulation). Rows
+    /// captured in chunks are not persisted.
     #[must_use]
     pub fn trace_store(mut self, store: Arc<TraceStore>) -> Self {
         self.store = store;
@@ -208,157 +182,62 @@ impl SimSession {
         self.len.map_or(d, |l| l.min(d))
     }
 
-    /// Runs every workload × configuration cell, workload-major.
-    ///
-    /// Generate-once: each workload row is synthesized a single time and
-    /// captured into a [`MaterializedTrace`] that every configuration
-    /// column of that row replays (a nested [`par_map`]: rows fan out
-    /// across workloads, columns fan out across configurations within a
-    /// row). The capture is dropped as soon as its row completes, so at
-    /// most one capture per outer worker is resident — a flat
-    /// capture-everything pre-pass holds all rows live at once, which
-    /// measurably slows the captures themselves on memory-starved
-    /// machines (every buffer is fresh, faulted-in memory instead of
-    /// pages recycled from the previous row).
-    ///
-    /// Workloads whose capture would exceed [`Self::materialize_cap`]
-    /// replay their re-runnable generator directly instead. Either path
-    /// replays the identical instruction stream, so results are
-    /// bit-identical regardless of the cap.
+    /// Runs every workload × configuration cell, workload-major: each
+    /// row is captured once and replayed through decode-once lane groups
+    /// of its distinct columns, [`Self::lanes`] to a group. This is
+    /// [`Self::run_cached`] without a cache.
     pub fn run(&self) -> SessionGrid {
-        let pool = CapturePool::default();
-        let all: Vec<usize> = (0..self.configs.len()).collect();
-        let per_workload: Vec<Vec<SimResult>> = par_map(&self.workloads, |s| {
-            let len = self.effective_len(s);
-            self.replay_row(s, len, &all, &pool)
-                .into_iter()
-                .zip(&self.configs)
-                .map(|(core, c)| SimResult { config_name: c.name.clone(), core })
-                .collect()
-        });
-        SessionGrid {
-            workloads: self.workloads.iter().map(|s| s.name().to_string()).collect(),
-            configs: self.configs.iter().map(|c| c.name.clone()).collect(),
-            results: per_workload.into_iter().flatten().collect(),
-        }
+        self.run_cached(&CellCache::disabled()).0
     }
 
     /// Replays one workload row across the configuration columns in
-    /// `which` (indices into `self.configs`), via the session's
-    /// preferred capture form.
+    /// `which` (indices into `self.configs`), calling `observe(config,
+    /// model, instr)` after every retired branch of each lane (`config`
+    /// indexes `self.configs`; columns sharing a lane are observed once,
+    /// under the first).
     ///
-    /// Capture preference order: a trace-store load of the compact
-    /// encoding (when a store is attached — skipping generation and
-    /// encoding entirely), then a fresh compact capture (persisted to
-    /// the store for the next run, when the stream both encodes and
-    /// fits [`Self::materialize_cap`] in compact bytes), then a record
-    /// capture under the same byte cap, then per-column generator
-    /// walking. All four replay the identical stream bit-identically.
+    /// The row's capture is loaded from the trace store when one is
+    /// attached and holds it. Otherwise the row is synthesized and
+    /// captured in compact form: whole when it fits
+    /// [`DEFAULT_MATERIALIZE_CAP`] (then persisted to the store), chunk
+    /// by chunk otherwise ([`replay_chunked`]). Every path replays the
+    /// identical stream through the same lane groups.
     fn replay_row(
         &self,
         s: &WorkloadSource,
-        len: u64,
         which: &[usize],
         pool: &CapturePool,
+        observe: &mut impl FnMut(usize, &CoreModel, &TraceInstr),
     ) -> Vec<CoreResult> {
-        if self.compact {
-            let mut parts = pool.compact.lock().expect("pool lock").pop().unwrap_or_default();
-            let key = self.store.is_enabled().then(|| s.store_key(self.seed, len));
-            if let Some(key) = &key {
-                match self.store.load(key, parts) {
-                    // A stored capture over the session's cap replays
-                    // regenerated instead, as an uncapped store entry
-                    // must not defeat a deliberately small cap.
-                    Ok(compact) if compact.bytes() <= self.materialize_cap => {
-                        let results = self.replay_compact(&compact, which);
-                        if let Some(back) = compact.into_parts() {
-                            pool.compact.lock().expect("pool lock").push(back);
-                        }
-                        return results;
-                    }
-                    Ok(compact) => {
-                        parts = compact.into_parts().unwrap_or_default();
-                    }
-                    Err(back) => parts = back,
-                }
+        let len = self.effective_len(s);
+        let lanes = || RowLanes::new(&self.configs, which, self.lanes);
+        let parts = pool.lock().expect("pool lock").pop().unwrap_or_default();
+        let key = self.store.is_enabled().then(|| s.store_key(self.seed, len));
+        let loaded = match &key {
+            Some(key) => self.store.load(key, parts),
+            None => Err(parts),
+        };
+        let (lanes, parts, name) = match loaded {
+            Ok(compact) => {
+                let mut lanes = lanes();
+                lanes.replay(&compact, observe);
+                let name = compact.name().to_string();
+                (lanes, compact.into_parts().unwrap_or_default(), name)
             }
-            let gen = s.build_with_len(self.seed, len);
-            match CompactTrace::capture_within_into(&gen, self.materialize_cap, parts) {
-                Ok(compact) => {
+            Err(parts) => {
+                let gen = s.build_with_len(self.seed, len);
+                let store = |whole: &CompactTrace| {
                     if let Some(key) = &key {
-                        self.store.store(key, &compact);
+                        self.store.store(key, whole);
                     }
-                    let results = self.replay_compact(&compact, which);
-                    if let Some(back) = compact.into_parts() {
-                        pool.compact.lock().expect("pool lock").push(back);
-                    }
-                    return results;
-                }
-                // Over-budget or unencodable streams fall through to the
-                // record path (whose own cap check decides sharing).
-                Err(e) => pool.compact.lock().expect("pool lock").push(e.into_parts()),
+                };
+                let (lanes, parts) =
+                    replay_chunked(&gen, lanes, DEFAULT_MATERIALIZE_CAP, parts, store, observe);
+                (lanes, parts, gen.name().to_string())
             }
-            return self.replay_records(&gen, len, which, pool);
-        }
-        let gen = s.build_with_len(self.seed, len);
-        self.replay_records(&gen, len, which, pool)
-    }
-
-    /// Replays the configuration columns in `which` against one shared
-    /// compact capture through the decode-once lane kernel: the trace
-    /// is walked and decoded once per lane group instead of once per
-    /// column ([`Simulator::run_configs_compact_lanes`]).
-    ///
-    /// Identical columns replay once: columns whose predictor + uarch
-    /// JSON is byte-equal — the same identity a [`CellKey`] hashes, so
-    /// ablation grids repeating their baseline column collapse — share
-    /// a single lane's result.
-    fn replay_compact(&self, compact: &CompactTrace, which: &[usize]) -> Vec<CoreResult> {
-        let mut distinct: Vec<usize> = Vec::new(); // indices into self.configs
-        let mut jsons: Vec<(String, String)> = Vec::new();
-        let lane_of: Vec<usize> = which
-            .iter()
-            .map(|&i| {
-                let c = &self.configs[i];
-                let key = (json::to_string(&c.predictor), json::to_string(&c.uarch));
-                jsons.iter().position(|k| *k == key).unwrap_or_else(|| {
-                    jsons.push(key);
-                    distinct.push(i);
-                    distinct.len() - 1
-                })
-            })
-            .collect();
-        let width = self.lanes.unwrap_or(distinct.len()).max(1);
-        let mut lane_results: Vec<CoreResult> = Vec::with_capacity(distinct.len());
-        for chunk in distinct.chunks(width) {
-            let configs: Vec<&SimConfig> = chunk.iter().map(|&i| &self.configs[i]).collect();
-            lane_results.extend(
-                Simulator::run_configs_compact_lanes(&configs, compact).into_iter().map(|r| r.core),
-            );
-        }
-        lane_of.into_iter().map(|l| lane_results[l].clone()).collect()
-    }
-
-    /// The record-based reference path: a shared record capture when it
-    /// fits the cap, per-column generator walks otherwise.
-    fn replay_records<T: Trace + Sync>(
-        &self,
-        gen: &T,
-        len: u64,
-        which: &[usize],
-        pool: &CapturePool,
-    ) -> Vec<CoreResult> {
-        if MaterializedTrace::estimated_bytes(len) <= self.materialize_cap {
-            let buf = pool.records.lock().expect("pool lock").pop().unwrap_or_default();
-            let mat = MaterializedTrace::capture_into(gen, buf);
-            let results = par_map(which, |&i| Simulator::run_config(&self.configs[i], &mat).core);
-            if let Some(buf) = mat.into_records() {
-                pool.records.lock().expect("pool lock").push(buf);
-            }
-            results
-        } else {
-            par_map(which, |&i| Simulator::run_config(&self.configs[i], gen).core)
-        }
+        };
+        pool.lock().expect("pool lock").push(parts);
+        lanes.finish(&name)
     }
 
     /// Enumerates the grid's cells row-major, each with the exact cache
@@ -400,8 +279,22 @@ impl SimSession {
     /// [`Self::run_cached`] computes, so results are bit-identical to
     /// any other execution path. Panics on out-of-range indices.
     pub fn compute_row(&self, row: usize, cols: &[usize]) -> Vec<CoreResult> {
-        let s = &self.workloads[row];
-        self.replay_row(s, self.effective_len(s), cols, &CapturePool::default())
+        self.replay_row(&self.workloads[row], cols, &CapturePool::default(), &mut |_, _, _| {})
+    }
+
+    /// [`Self::compute_row`] over every column of row `row`, calling
+    /// `observe(config, model, instr)` after every retired branch of
+    /// each lane: `config` indexes the session's configurations, and
+    /// columns with identical configurations share one lane, observed
+    /// under the first. Per-branch attribution (the tournament's H2P
+    /// table) rides the same capture and lane groups as the grid.
+    pub fn observe_row(
+        &self,
+        row: usize,
+        mut observe: impl FnMut(usize, &CoreModel, &TraceInstr),
+    ) -> Vec<CoreResult> {
+        let all: Vec<usize> = (0..self.configs.len()).collect();
+        self.replay_row(&self.workloads[row], &all, &CapturePool::default(), &mut observe)
     }
 
     /// [`Self::run`] through a [`CellCache`]: each cell's [`CoreResult`]
@@ -497,14 +390,19 @@ impl SimSession {
                 }
                 claims_won.fetch_add(mine.len() as u64, Ordering::Relaxed);
                 claims_lost.fetch_add(theirs.len() as u64, Ordering::Relaxed);
-                if !mine.is_empty() {
-                    let computed = self.replay_row(s, len, &mine, &pool);
-                    for (&i, core) in mine.iter().zip(computed) {
+                // Computes and stores the columns `cols` of this row.
+                let compute = |cols: &[usize], cores: &mut [Option<CoreResult>]| {
+                    if cols.is_empty() {
+                        return;
+                    }
+                    let computed = self.replay_row(s, cols, &pool, &mut |_, _, _| {});
+                    for (&i, core) in cols.iter().zip(computed) {
                         let entry = core.to_json();
                         cache.store(&keys[i], &entry);
                         cores[i] = Some(roundtrip(&entry).expect("CoreResult JSON round-trips"));
                     }
-                }
+                };
+                compute(&mine, &mut cores);
                 // Claims release only after every result is stored, so
                 // a waiter that sees a claim vanish can trust its one
                 // final cache look.
@@ -520,14 +418,7 @@ impl SimSession {
                         None => true,
                     })
                     .collect();
-                if !orphaned.is_empty() {
-                    let computed = self.replay_row(s, len, &orphaned, &pool);
-                    for (&i, core) in orphaned.iter().zip(computed) {
-                        let entry = core.to_json();
-                        cache.store(&keys[i], &entry);
-                        cores[i] = Some(roundtrip(&entry).expect("CoreResult JSON round-trips"));
-                    }
-                }
+                compute(&orphaned, &mut cores);
             }
             cores
                 .into_iter()
@@ -564,17 +455,129 @@ impl SimSession {
     }
 }
 
-/// Recycled capture buffers shared across workload rows.
+/// Recycled compact capture buffers shared across workload rows.
 ///
 /// Captures sit above the allocator's mmap threshold, so dropping one
 /// unmaps it and the next row would re-fault every page of a fresh
-/// mapping; rows instead return their buffers here. Record and compact
-/// buffers pool separately — a session only ever draws from one side,
-/// but a compact fallback row can populate both.
-#[derive(Debug, Default)]
-struct CapturePool {
-    records: Mutex<Vec<Vec<TraceInstr>>>,
-    compact: Mutex<Vec<CompactParts>>,
+/// mapping; rows instead return their buffers here.
+type CapturePool = Mutex<Vec<CompactParts>>;
+
+/// The decode-once lane groups replaying one row's configuration
+/// columns, kept across the chunks of a chunked capture.
+///
+/// Identical columns replay once: columns whose predictor + uarch JSON
+/// is byte-equal — the same identity a [`CellKey`] hashes, so ablation
+/// grids repeating their baseline column collapse — share one lane.
+struct RowLanes {
+    /// One group per `width` lanes, in lane order.
+    groups: Vec<LaneGroup>,
+    width: usize,
+    /// Configuration index (into the session's list) of each lane.
+    lane_config: Vec<usize>,
+    /// Per requested column, the index of the lane that computes it.
+    lane_of: Vec<usize>,
+}
+
+impl RowLanes {
+    /// Lanes for the columns `which` of `configs`, `width` per group
+    /// (`None` = one group).
+    fn new(configs: &[SimConfig], which: &[usize], width: Option<usize>) -> Self {
+        let mut lane_config: Vec<usize> = Vec::new();
+        let mut jsons: Vec<(String, String)> = Vec::new();
+        let lane_of = which
+            .iter()
+            .map(|&i| {
+                let c = &configs[i];
+                let key = (json::to_string(&c.predictor), json::to_string(&c.uarch));
+                jsons.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    jsons.push(key);
+                    lane_config.push(i);
+                    lane_config.len() - 1
+                })
+            })
+            .collect();
+        let width = width.unwrap_or(lane_config.len()).max(1);
+        let groups = lane_config
+            .chunks(width)
+            .map(|batch| {
+                LaneGroup::new(
+                    batch
+                        .iter()
+                        .map(|&i| CoreModel::new(configs[i].uarch, configs[i].predictor.clone()))
+                        .collect(),
+                )
+            })
+            .collect();
+        Self { groups, width, lane_config, lane_of }
+    }
+
+    /// Replays one capture (a whole row or its next chunk) through every
+    /// group, passing `observe` each lane's configuration index.
+    fn replay(
+        &mut self,
+        trace: &CompactTrace,
+        observe: &mut impl FnMut(usize, &CoreModel, &TraceInstr),
+    ) {
+        for (g, group) in self.groups.iter_mut().enumerate() {
+            let configs = &self.lane_config[g * self.width..];
+            group.replay(trace, ReplayPlan::Whole, |lane, model, instr| {
+                observe(configs[lane], model, instr)
+            });
+        }
+    }
+
+    /// Each requested column's result, in request order.
+    fn finish(self, name: &str) -> Vec<CoreResult> {
+        let results: Vec<CoreResult> =
+            self.groups.into_iter().flat_map(|group| group.finish(name)).collect();
+        self.lane_of.into_iter().map(|lane| results[lane].clone()).collect()
+    }
+}
+
+/// Captures `trace` in compact form, chunk by chunk within `budget`
+/// bytes ([`CompactTrace::capture_chunk_into`]), and replays every chunk
+/// through the row's lanes, which continue across chunks. A trace that
+/// fits one chunk is handed to `whole` (the store writer) first. Returns
+/// the lanes and the capture buffers for reuse.
+///
+/// Each chunk ends right after a retired branch, so chunk boundaries
+/// are run boundaries of the whole stream and the lanes see exactly the
+/// whole replay's sequence of runs and branch points. The lanes are
+/// built only once the first chunk is captured and stored, so their
+/// models do not add to the capture's and the store write's peak.
+///
+/// # Panics
+///
+/// When the stream is not compact-encodable: every [`WorkloadSource`]
+/// is (synthesized and ingested lengths are 2, 4 or 6 bytes).
+fn replay_chunked<T: Trace>(
+    trace: &T,
+    lanes: impl FnOnce() -> RowLanes,
+    budget: u64,
+    parts: CompactParts,
+    whole: impl FnOnce(&CompactTrace),
+    observe: &mut impl FnMut(usize, &CoreModel, &TraceInstr),
+) -> (RowLanes, CompactParts) {
+    let mut instrs = trace.iter();
+    let mut capture = |parts| {
+        CompactTrace::capture_chunk_into(trace.name(), &mut instrs, trace.len(), budget, parts)
+            .unwrap_or_else(|e| {
+                panic!("workload {:?} is not compact-encodable: {e:?}", trace.name())
+            })
+    };
+    let (mut chunk, mut ended) = capture(parts);
+    if ended {
+        whole(&chunk);
+    }
+    let mut lanes = lanes();
+    loop {
+        lanes.replay(&chunk, observe);
+        let parts = chunk.into_parts().unwrap_or_default();
+        if ended {
+            return (lanes, parts);
+        }
+        (chunk, ended) = capture(parts);
+    }
 }
 
 /// The cached result for `key`, decoded from the value [`CellCache::load`]
@@ -736,39 +739,86 @@ mod tests {
         assert!(self_gain.abs() < 1e-12, "a config against itself improves 0%");
     }
 
-    #[test]
-    fn session_matches_a_direct_simulator_run() {
-        let p = WorkloadProfile::zlinux_informix();
-        let grid = SimSession::new()
-            .seed(3)
-            .max_len(20_000)
-            .workload(p.clone())
-            .config(SimConfig::btb2_enabled())
-            .run();
-        let trace = p.build_with_len(3, 20_000.min(p.default_len));
-        let direct = Simulator::new(SimConfig::btb2_enabled()).run(&trace);
-        assert_eq!(grid.result(&p.name, "BTB2 enabled").cpi(), direct.cpi());
+    /// Replays `trace` chunked at each of `budgets` through a row of the
+    /// Table-3 columns, checking every lane after every retired branch
+    /// against the record reference.
+    fn assert_chunked_rows_match_the_reference<T: Trace>(trace: &T, budgets: &[u64]) {
+        use zbp_uarch::oracle::Reference;
+        let configs = SimConfig::table3().to_vec();
+        let lanes: Vec<_> = configs.iter().map(|c| (c.uarch, c.predictor.clone())).collect();
+        let all: Vec<usize> = (0..configs.len()).collect();
+        let reference = Reference::record(trace, &lanes);
+        for &budget in budgets {
+            let mut check = reference.clone();
+            let mut whole = false;
+            let (row, _) = replay_chunked(
+                trace,
+                || RowLanes::new(&configs, &all, None),
+                budget,
+                CompactParts::default(),
+                |_| whole = true,
+                &mut |lane, model, _| check.observe(lane, model),
+            );
+            check
+                .finish(&row.finish(trace.name()))
+                .unwrap_or_else(|d| panic!("{} at a {budget} B budget: {d}", trace.name()));
+            assert_eq!(
+                whole,
+                budget == u64::MAX,
+                "{}: only an unchunked row is whole",
+                trace.name()
+            );
+        }
     }
 
     #[test]
-    fn shared_and_walked_grids_are_bit_identical() {
-        // The materialized fast path must change speed, not predictions:
-        // a capped session (every cell re-walks its generator) and the
-        // default shared session produce the same results.
-        let session = SimSession::new()
-            .seed(11)
-            .max_len(8_000)
-            .workloads(vec![WorkloadProfile::tpf_airline(), WorkloadProfile::zos_lspr_wasdb_cbw2()])
-            .configs(vec![SimConfig::no_btb2(), SimConfig::btb2_enabled()]);
-        let shared = session.clone().run();
-        let walked = session.materialize_cap(0).run();
-        for w in shared.workloads() {
-            for c in shared.configs() {
-                let (s, k) = (shared.result(w, c), walked.result(w, c));
-                assert_eq!(s.core.cycles, k.core.cycles, "({w}, {c}) cycles diverged");
-                assert_eq!(s.core.outcomes, k.core.outcomes, "({w}, {c}) outcomes diverged");
-            }
+    fn chunked_rows_match_whole_replay_per_branch() {
+        // A zero budget cuts a chunk after every retired branch; 600 B
+        // after a few hundred instructions; the last budget holds the
+        // row whole.
+        let budgets = [0, 600, u64::MAX];
+        for p in WorkloadProfile::all_table4() {
+            assert_chunked_rows_match_the_reference(&p.build_with_len(0xEC12, 6_000), &budgets);
         }
+        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/sample.zbxt");
+        let external = WorkloadSource::ingest(fixture).expect("the fixture ingests");
+        assert_chunked_rows_match_the_reference(&external.build_with_len(0, 20_000), &budgets);
+
+        // Back-to-back branches (empty runs), discontinuities right
+        // after a branch and mid-run, and wrong-path records before and
+        // after branches, so that chunks begin with each of them.
+        use zbp_trace::{BranchKind, BranchRec, InstAddr, VecTrace};
+        let mut v = Vec::new();
+        let taken = |a: u64, t: u64| {
+            TraceInstr::branch(
+                InstAddr::new(a),
+                4,
+                BranchRec::taken(BranchKind::Unconditional, InstAddr::new(t)),
+            )
+        };
+        for k in 0..40u64 {
+            let base = 0x10_0000 + k * 0x1000;
+            v.push(taken(base, base + 0x100));
+            v.push(taken(base + 0x100, base + 0x200)); // empty run
+            v.push(TraceInstr::plain(InstAddr::new(0x7000 + k), 2).wrong_path());
+            v.push(TraceInstr::plain(InstAddr::new(base + 0x200), 4));
+            v.push(TraceInstr::plain(InstAddr::new(base + 0x204), 6));
+            v.push(TraceInstr::plain(InstAddr::new(base + 0x900), 4)); // discontinuity
+            v.push(TraceInstr::branch(
+                InstAddr::new(base + 0x904),
+                6,
+                BranchRec::not_taken(InstAddr::new(base)),
+            ));
+            v.push(TraceInstr::plain(InstAddr::new(base + 0x50_0000), 2)); // after a branch
+            for i in 0..(k % 7) * 40 {
+                v.push(TraceInstr::plain(InstAddr::new(base + 0x50_0002 + i * 4), 4));
+            }
+            v.push(
+                taken(0x9000, 0x9100).wrong_path(), // a wrong-path branch never retires
+            );
+        }
+        assert_chunked_rows_match_the_reference(&VecTrace::new("edges", v), &[0, 1, 64, u64::MAX]);
     }
 
     #[test]
@@ -996,46 +1046,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_and_record_grids_are_bit_identical() {
-        // The compact branch-point fast path must change speed, not
-        // predictions: the same session over the reference record path
-        // and over per-cell walking produces the same results.
-        let session = SimSession::new()
-            .seed(13)
-            .max_len(9_000)
-            .workloads(vec![WorkloadProfile::tpf_airline(), WorkloadProfile::zos_lspr_ims()])
-            .configs(vec![SimConfig::no_btb2(), SimConfig::btb2_enabled()]);
-        let compact = session.clone().run();
-        let record = session.clone().compact(false).run();
-        let walked = session.compact(false).materialize_cap(0).run();
-        for w in compact.workloads() {
-            for c in compact.configs() {
-                let fast = compact.result(w, c);
-                assert_eq!(fast.core, record.result(w, c).core, "({w}, {c}) record diverged");
-                assert_eq!(fast.core, walked.result(w, c).core, "({w}, {c}) walked diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn compact_session_over_cap_falls_back_bit_identically() {
-        // A cap of 0 declines both capture forms; every cell re-walks
-        // its generator and the results still match the shared path.
-        let session = SimSession::new()
-            .seed(21)
-            .max_len(6_000)
-            .workload(WorkloadProfile::tpf_airline())
-            .configs(vec![SimConfig::no_btb2(), SimConfig::btb2_enabled()]);
-        let shared = session.clone().run();
-        let capped = session.materialize_cap(0).run();
-        for w in shared.workloads() {
-            for c in shared.configs() {
-                assert_eq!(shared.result(w, c).core, capped.result(w, c).core);
-            }
-        }
-    }
-
-    #[test]
     fn lane_width_does_not_change_results() {
         // The lane-group width is a pure batching knob: one group per
         // row (default), pairs, and sequential singleton groups all
@@ -1109,30 +1119,6 @@ mod tests {
                 let cell = plain.result(w, c);
                 assert_eq!(cell.core, cold.result(w, c).core, "({w}, {c}) cold diverged");
                 assert_eq!(cell.core, warm.result(w, c).core, "({w}, {c}) warm diverged");
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn store_entry_over_session_cap_is_regenerated_bit_identically() {
-        // A warm store must not defeat a deliberately small materialize
-        // cap: the loaded capture is discarded and the row replays via
-        // the record/walking fallback, still bit-identical.
-        let dir = std::env::temp_dir().join(format!("zbp-session-storecap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let base = SimSession::new()
-            .seed(23)
-            .max_len(6_000)
-            .workload(WorkloadProfile::tpf_airline())
-            .configs(vec![SimConfig::no_btb2(), SimConfig::btb2_enabled()]);
-        base.clone().trace_store(Arc::new(TraceStore::at(&dir))).run();
-        let capped_store = Arc::new(TraceStore::at(&dir));
-        let capped = base.clone().trace_store(Arc::clone(&capped_store)).materialize_cap(64).run();
-        let plain = base.run();
-        for w in plain.workloads() {
-            for c in plain.configs() {
-                assert_eq!(plain.result(w, c).core, capped.result(w, c).core);
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -6,9 +6,9 @@
 //! summarizes each interval by a basic-block vector (BBV — where the
 //! interval spent its instructions, bucketed by run start address),
 //! clusters the vectors with a deterministic k-means, and replays only
-//! one representative interval per cluster through
-//! [`CoreModel::run_compact_windows`]. Each representative's CPI/MPKI
-//! is weighted by its cluster's share of the trace, yielding a
+//! one representative interval per cluster through the lane kernel's
+//! windowed plan ([`ReplayPlan::Windows`]). Each representative's
+//! CPI/MPKI is weighted by its cluster's share of the trace, yielding a
 //! whole-trace estimate from a fraction of the replay work — the
 //! SimPoint methodology (Sherwood et al., ASPLOS 2002) adapted to this
 //! simulator's run-batched compact encoding.
@@ -25,12 +25,12 @@
 use crate::cache::{CellCache, CellKey};
 use crate::config::SimConfig;
 use crate::experiments::ExperimentOptions;
-use crate::runner::Simulator;
+use crate::session::SimSession;
 use zbp_support::json::{self, FromJson, Json, ToJson};
 use zbp_support::rng::SmallRng;
 use zbp_trace::source::WorkloadSource;
 use zbp_trace::{CompactParts, CompactTrace};
-use zbp_uarch::core::{CoreModel, WindowMeasure};
+use zbp_uarch::core::{CoreModel, LaneGroup, ReplayPlan, WindowMeasure};
 
 /// SimPoint parameters. All four feed the [`CellKey::simpoint`] cache
 /// key, so changing any of them re-measures instead of reusing stale
@@ -126,7 +126,7 @@ impl SimPointRow {
 
 /// Slices a compact trace into BBV intervals and clusters them into a
 /// replay plan. Interval boundaries land on run boundaries (the same
-/// coordinates [`CoreModel::run_compact_windows`] transitions on), so
+/// coordinates a [`ReplayPlan::Windows`] replay transitions on), so
 /// the plan's windows line up with what the replay will measure.
 pub fn plan(compact: &CompactTrace, spec: &SimPointSpec) -> SimPointPlan {
     let dims = spec.dims.max(1) as usize;
@@ -304,8 +304,9 @@ pub fn weighted_estimate(
     plan: &SimPointPlan,
     warmup: u64,
 ) -> WeightedEstimate {
-    let model = CoreModel::new(config.uarch, config.predictor.clone());
-    let measures = model.run_compact_windows(compact, &plan.windows, warmup);
+    let mut group = LaneGroup::new(vec![CoreModel::new(config.uarch, config.predictor.clone())]);
+    group.replay(compact, ReplayPlan::Windows { windows: &plan.windows, warmup }, |_, _, _| {});
+    let measures = group.measures(0).to_vec();
     let mut cpi = 0.0;
     let mut mpki = 0.0;
     let mut mass = 0.0;
@@ -349,11 +350,11 @@ pub struct WeightedEstimate {
 
 /// Runs the full SimPoint validation for one workload source: capture
 /// (through the trace store when attached), plan, weighted replay, and
-/// a full-replay baseline — the baseline reuses the exact
-/// [`CellKey::sim`] entry a figure-2-style grid would, so committed
-/// cache entries serve it for free. The finished row round-trips
-/// through [`CellKey::simpoint`] like every other cell. Returns the row
-/// plus whether it was answered from the cache.
+/// a full-replay baseline — the baseline is the grid's own cell for
+/// this (workload, config), computed or served by the cell cache
+/// through [`SimSession::run_cached`] like any grid's. The finished row
+/// round-trips through [`CellKey::simpoint`] like every other cell.
+/// Returns the row plus whether it was answered from the cache.
 pub fn simpoint_row(
     source: &WorkloadSource,
     config: &SimConfig,
@@ -377,21 +378,12 @@ pub fn simpoint_row(
         return (row, true);
     }
 
+    let session = SimSession::from_options(opts).workload(source.clone()).config(config.clone());
+    let (grid, _) = session.run_cached(cache);
+    let full = &grid.result(source.name(), &config.name).core;
     let compact = capture(source, opts, len);
     let p = plan(&compact, spec);
     let est = weighted_estimate(config, &compact, &p, spec.warmup);
-
-    // Full-replay truth, through the same cell key a grid experiment
-    // uses for this (workload, config, seed, len) cell.
-    let full_key = CellKey::sim(&source_json, opts.seed, len, &pred_json, &uarch_json);
-    let full = match cache.load(&full_key).and_then(|j| roundtrip_core(&j)) {
-        Some(core) => core,
-        None => {
-            let core = Simulator::run_config_compact(config, &compact).core;
-            cache.store(&full_key, &core.to_json());
-            roundtrip_core(&core.to_json()).expect("CoreResult JSON round-trips")
-        }
-    };
     let full_cpi = full.cpi();
     let full_mpki =
         full.outcomes.mispredict_direction as f64 * 1000.0 / full.instructions.max(1) as f64;
@@ -446,14 +438,16 @@ fn roundtrip_row(entry: &Json) -> Option<SimPointRow> {
     SimPointRow::from_json(&Json::parse(&entry.render()).ok()?).ok()
 }
 
-fn roundtrip_core(entry: &Json) -> Option<zbp_uarch::core::CoreResult> {
-    zbp_uarch::core::CoreResult::from_json(&Json::parse(&entry.render()).ok()?).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Simulator;
     use zbp_trace::profile::WorkloadProfile;
+
+    /// The exact replay of the whole capture.
+    fn full_replay(config: &SimConfig, compact: &CompactTrace) -> zbp_uarch::CoreResult {
+        Simulator::run_configs_compact_lanes(&[config], compact).remove(0).core
+    }
 
     fn compact_of(p: &WorkloadProfile, seed: u64, len: u64) -> CompactTrace {
         CompactTrace::capture(&p.build_with_len(seed, len)).unwrap()
@@ -492,7 +486,7 @@ mod tests {
         assert_eq!(pl.windows.len(), 1);
         let config = SimConfig::btb2_enabled();
         let est = weighted_estimate(&config, &compact, &pl, 0);
-        let full = Simulator::run_config_compact(&config, &compact).core;
+        let full = full_replay(&config, &compact);
         assert!((est.cpi - full.cpi()).abs() < 1e-12, "{} vs {}", est.cpi, full.cpi());
     }
 
@@ -506,7 +500,7 @@ mod tests {
         let pl = plan(&compact, &spec);
         let config = SimConfig::btb2_enabled();
         let est = weighted_estimate(&config, &compact, &pl, spec.warmup);
-        let full = Simulator::run_config_compact(&config, &compact).core;
+        let full = full_replay(&config, &compact);
         let err = err_pct(est.cpi, full.cpi());
         assert!(err < 10.0, "weighted CPI err {err:.2}% (est {} vs {})", est.cpi, full.cpi());
         assert!(

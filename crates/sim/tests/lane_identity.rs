@@ -1,8 +1,8 @@
 //! Property test for the decode-once lane kernel: over randomized
-//! (workload, seed, length, lane-set) cells, a lane-batched replay must
-//! be bit-identical to sequential per-config compact replay — every
-//! counter of every [`zbp_uarch::core::CoreResult`] field, not just
-//! CPI. Lane sets mix the Table-3 BTB geometries with every direction
+//! (workload, seed, length, lane-set) cells, every lane of a batched
+//! replay must be bit-identical to the per-record reference replay of
+//! its configuration alone — every counter of every
+//! [`zbp_uarch::core::CoreResult`] field, not just CPI. Lane sets mix the Table-3 BTB geometries with every direction
 //! backend, so shared-decode cross-talk between structurally different
 //! predictors would surface immediately.
 
@@ -38,9 +38,9 @@ fn lane_replay_is_bit_identical_over_randomized_cells() {
         let batched = Simulator::run_configs_compact_lanes(&lanes, &compact);
         assert_eq!(batched.len(), lanes.len());
         for (lane, config) in batched.iter().zip(&lanes) {
-            let sequential = Simulator::run_config_compact(config, &compact);
+            let reference = Simulator::run_config(config, &trace);
             assert_eq!(
-                lane.core, sequential.core,
+                lane.core, reference.core,
                 "round {round}: {} / {} / seed {trace_seed:#x} / {len} instr diverged",
                 profile.name, config.name
             );

@@ -1,12 +1,13 @@
-//! Compact branch-point trace encoding.
+//! Compact branch-point trace encoding: the one form in which replay
+//! holds a captured stream.
 //!
-//! A [`MaterializedTrace`](crate::MaterializedTrace) stores one padded
-//! 32-byte [`TraceInstr`] per dynamic instruction; the vast majority of
-//! those records are sequential non-branch instructions whose only
-//! information content is their length. A [`CompactTrace`] instead stores
-//! the stream as a sequence of **branch points** — one packed 12-byte
-//! record per control-relevant instruction — separated by run-length
-//! encoded gaps of sequential instructions:
+//! A [`TraceInstr`] record is a padded 32 bytes per dynamic
+//! instruction, and the vast majority of records are sequential
+//! non-branch instructions whose only information content is their
+//! length. A [`CompactTrace`] instead stores the stream as a sequence of
+//! **branch points** — one packed 12-byte record per control-relevant
+//! instruction — separated by run-length encoded gaps of sequential
+//! instructions:
 //!
 //! * [`BranchPoint`] (12 B): `gap` = number of sequential non-branch
 //!   instructions since the previous point, `target_delta` = branch
@@ -32,6 +33,11 @@
 //! smaller than the record form — and, more importantly, lets the core
 //! replay a whole non-branch run as one batched step instead of
 //! materializing a `TraceInstr` per instruction.
+//!
+//! A stream too long to hold is captured in chunks
+//! ([`CompactTrace::capture_chunk_into`]), each cut right after a
+//! retired branch, so that every chunk boundary is also a run boundary
+//! of the whole stream and chunk-by-chunk replay equals whole replay.
 
 use std::sync::Arc;
 
@@ -205,9 +211,11 @@ impl std::fmt::Display for PartsError {
 
 impl std::error::Error for PartsError {}
 
-/// Recyclable backing buffers of a compact capture, analogous to the
-/// record buffer recovered by
-/// [`MaterializedTrace::into_records`](crate::MaterializedTrace::into_records).
+/// Recyclable backing buffers of a compact capture. Captures sit above
+/// the allocator's mmap threshold, so a fresh buffer per capture would
+/// be unmapped on drop and re-faulted by the next; callers that capture
+/// in a loop recover the buffers with [`CompactTrace::into_parts`] and
+/// hand them back.
 #[derive(Debug, Default)]
 pub struct CompactParts {
     points: Vec<BranchPoint>,
@@ -221,12 +229,6 @@ impl CompactParts {
     /// reusing the capacity a previous capture allocated.
     pub fn into_buffers(self) -> (Vec<BranchPoint>, Vec<u8>, Vec<u64>) {
         (self.points, self.len_codes, self.far)
-    }
-
-    /// Reassembles buffers recovered by [`Self::into_buffers`] for a
-    /// later capture. Contents are irrelevant; captures clear them.
-    pub fn from_buffers(points: Vec<BranchPoint>, len_codes: Vec<u8>, far: Vec<u64>) -> Self {
-        Self { points, len_codes, far }
     }
 }
 
@@ -270,7 +272,7 @@ impl CompactBuf {
 }
 
 /// A branch-point encoded instruction stream behind an [`Arc`]: clones
-/// share one allocation, exactly like a materialized trace.
+/// share one allocation.
 #[derive(Debug, Clone)]
 pub struct CompactTrace {
     name: Arc<str>,
@@ -285,11 +287,10 @@ struct Encoder {
     points: Vec<BranchPoint>,
     len_codes: Vec<u8>,
     far: Vec<u64>,
-    budget: u64,
 }
 
 impl Encoder {
-    fn new(len_hint: u64, parts: CompactParts, budget: u64) -> Self {
+    fn new(len_hint: u64, parts: CompactParts) -> Self {
         let CompactParts { mut points, mut len_codes, mut far } = parts;
         points.clear();
         len_codes.clear();
@@ -299,7 +300,7 @@ impl Encoder {
         let hint = usize::try_from(len_hint).unwrap_or(0);
         points.reserve(hint / 4);
         len_codes.reserve(hint / 4 + 1);
-        Self { start: None, expected: None, gap: 0, total: 0, points, len_codes, far, budget }
+        Self { start: None, expected: None, gap: 0, total: 0, points, len_codes, far }
     }
 
     fn bytes(&self) -> u64 {
@@ -429,8 +430,8 @@ impl CompactTrace {
         })
     }
 
-    /// Encodes `trace` into recycled `parts`, aborting as soon as the
-    /// encoded size exceeds `max_bytes`.
+    /// Encodes `trace` into recycled `parts`, declining once the encoded
+    /// size exceeds `max_bytes`.
     ///
     /// # Errors
     ///
@@ -441,43 +442,60 @@ impl CompactTrace {
         max_bytes: u64,
         parts: CompactParts,
     ) -> Result<Self, CompactCaptureError> {
-        let mut enc = Encoder::new(trace.len(), parts, max_bytes);
-        // Budget checks amortize over a block of instructions: a block
-        // adds at most ~21 bytes/instruction, so the overshoot before a
-        // check is bounded and the capture still aborts early on
-        // multi-megabyte misfits.
-        const CHECK_EVERY: u64 = 4096;
-        let mut until_check = CHECK_EVERY;
-        for instr in trace.iter() {
+        match Self::capture_chunk_into(
+            trace.name(),
+            &mut trace.iter(),
+            trace.len(),
+            max_bytes,
+            parts,
+        )? {
+            (whole, true) if whole.bytes() <= max_bytes => Ok(whole),
+            (partial, _) => Err(CompactCaptureError::OverBudget(
+                partial.into_parts().expect("a fresh capture has one owner"),
+            )),
+        }
+    }
+
+    /// Encodes the next chunk of the stream `instrs` into recycled
+    /// `parts`: the rest of the stream, or, once the encoding exceeds
+    /// `max_bytes`, everything up to and including the next retired
+    /// branch. Returns the chunk and whether it ends the stream.
+    ///
+    /// Cutting right after a retired branch makes every chunk boundary
+    /// a run boundary of the whole stream: the next chunk starts at the
+    /// address the branch resolved to (or at a discontinuity the whole
+    /// encoding would mark anyway), so chunks replayed in order through
+    /// the same models equal the whole stream. A chunk therefore
+    /// overshoots `max_bytes` by the run up to that branch. `len_hint`
+    /// (the stream's length) sizes the buffers, at most a quarter
+    /// instruction per budget byte.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompactCaptureError::Unencodable`] — carrying the
+    /// buffers back for reuse — if the stream is not representable.
+    pub fn capture_chunk_into<I: Iterator<Item = TraceInstr>>(
+        name: &str,
+        instrs: &mut I,
+        len_hint: u64,
+        max_bytes: u64,
+        parts: CompactParts,
+    ) -> Result<(Self, bool), CompactCaptureError> {
+        let mut enc = Encoder::new(len_hint.min(max_bytes / 4), parts);
+        for instr in instrs {
             if let Err(err) = enc.push(&instr) {
                 return Err(CompactCaptureError::Unencodable(err, enc.parts()));
             }
-            until_check -= 1;
-            if until_check == 0 {
-                until_check = CHECK_EVERY;
-                if enc.bytes() > enc.budget {
-                    return Err(CompactCaptureError::OverBudget(enc.parts()));
-                }
+            if instr.branch.is_some() && !instr.wrong_path && enc.bytes() > max_bytes {
+                return Ok((enc.finish(name), false));
             }
         }
-        if enc.bytes() > enc.budget {
-            return Err(CompactCaptureError::OverBudget(enc.parts()));
-        }
-        Ok(enc.finish(trace.name()))
+        Ok((enc.finish(name), true))
     }
 
     /// Bytes of compact storage this capture occupies.
     pub fn bytes(&self) -> u64 {
         encoded_bytes(self.buf.points.len(), self.buf.len_codes.len(), self.buf.far.len())
-    }
-
-    /// Bytes per encoded instruction; 0 for an empty trace.
-    pub fn bytes_per_instr(&self) -> f64 {
-        if self.buf.total == 0 {
-            0.0
-        } else {
-            self.bytes() as f64 / self.buf.total as f64
-        }
     }
 
     /// Number of branch points (including discontinuities).

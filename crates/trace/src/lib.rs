@@ -36,7 +36,6 @@ pub mod gen;
 pub mod ingest;
 pub mod instr;
 pub mod io;
-pub mod materialize;
 pub mod profile;
 pub mod source;
 pub mod stats;
@@ -47,7 +46,6 @@ pub use branch::{BranchKind, BranchRec};
 pub use compact::{CompactCaptureError, CompactParts, CompactTrace};
 pub use ingest::{ExternalTrace, IngestError};
 pub use instr::TraceInstr;
-pub use materialize::MaterializedTrace;
 pub use source::{SourceTrace, WorkloadSource};
 pub use stats::TraceStats;
 pub use store::{TraceStore, TraceStoreKey, TraceStoreStats};

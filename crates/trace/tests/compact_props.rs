@@ -7,9 +7,7 @@
 
 use zbp_support::rng::SmallRng;
 use zbp_trace::profile::WorkloadProfile;
-use zbp_trace::{
-    BranchKind, BranchRec, CompactTrace, InstAddr, MaterializedTrace, Trace, TraceInstr, VecTrace,
-};
+use zbp_trace::{BranchKind, BranchRec, CompactTrace, InstAddr, Trace, TraceInstr, VecTrace};
 
 const LENS: [u8; 3] = [2, 4, 6];
 const KINDS: [BranchKind; 5] = [
@@ -112,6 +110,51 @@ fn arbitrary_streams_roundtrip() {
 }
 
 #[test]
+fn chunked_captures_concatenate_to_the_stream_and_cut_after_retired_branches() {
+    use zbp_trace::CompactParts;
+    let mut rng = SmallRng::seed_from_u64(0xC2);
+    for case in 0..12 {
+        let stream = random_stream(&mut rng, 10 + case * 4);
+        let whole = CompactTrace::capture(&VecTrace::new("s", stream.clone())).unwrap();
+        for budget in [0u64, 1, 13, 64, whole.bytes() / 2, whole.bytes(), u64::MAX] {
+            let mut instrs = stream.iter().copied();
+            let mut parts = CompactParts::default();
+            let mut replayed: Vec<TraceInstr> = Vec::new();
+            let mut chunks = 0;
+            loop {
+                let (chunk, ended) = CompactTrace::capture_chunk_into(
+                    "s",
+                    &mut instrs,
+                    stream.len() as u64,
+                    budget,
+                    parts,
+                )
+                .expect("encodable");
+                chunks += 1;
+                let records: Vec<TraceInstr> = chunk.iter().collect();
+                if !ended {
+                    let last = records.last().expect("a cut chunk holds its branch");
+                    assert!(
+                        last.branch.is_some() && !last.wrong_path,
+                        "case {case}: cut at {last:?}"
+                    );
+                    assert!(chunk.bytes() > budget, "case {case}: cut before the budget");
+                }
+                replayed.extend(records);
+                parts = chunk.into_parts().expect("sole owner");
+                if ended {
+                    break;
+                }
+            }
+            assert_eq!(replayed, stream, "case {case}, budget {budget}: chunks diverged");
+            if budget >= whole.bytes() {
+                assert_eq!(chunks, 1, "case {case}: a stream within budget is one chunk");
+            }
+        }
+    }
+}
+
+#[test]
 fn long_runs_cross_length_code_byte_boundaries() {
     // Runs far longer than 255 instructions, with lengths chosen so runs
     // end at every phase of the packed 4-codes-per-byte stream.
@@ -170,18 +213,17 @@ fn compact_is_under_a_third_of_record_bytes_on_fig2_workloads() {
     // The headline claim of the encoding: on the figure-2 grid's
     // workloads it stores the stream in less than a third of the record
     // form's bytes (in practice ~10x smaller at ~1-in-5 branch density).
+    let record_bytes_per_instr = std::mem::size_of::<TraceInstr>() as u64;
     for profile in WorkloadProfile::all_table4() {
         let gen = profile.build_with_len(0xEC12, 50_000);
-        let mat = MaterializedTrace::capture(&gen);
+        let record_bytes = gen.len() * record_bytes_per_instr;
         let ct = CompactTrace::capture(&gen).expect("encodable");
         assert!(
-            ct.bytes() * 3 < mat.bytes(),
-            "{}: compact {} B vs record {} B ({:.2} vs {:.2} B/instr)",
+            ct.bytes() * 3 < record_bytes,
+            "{}: compact {} B vs record {} B",
             gen.name(),
             ct.bytes(),
-            mat.bytes(),
-            ct.bytes_per_instr(),
-            mat.bytes_per_instr(),
+            record_bytes,
         );
     }
 }

@@ -72,77 +72,8 @@ impl CoreResult {
     }
 }
 
-/// Windowed 1-in-N sampling parameters, in instruction counts.
-///
-/// Each period replays `warmup + measure` instructions through the full
-/// model (only the `measure` portion is counted) and fast-forwards the
-/// remaining `period - warmup - measure` by a pure cursor walk with no
-/// model work. Phase transitions happen at run boundaries, so a long
-/// non-branch run can overshoot its window — window sizes are
-/// approximate, not exact.
-///
-/// This mode is opt-in for throughput experiments only: nothing in the
-/// experiment registry, session, or CLI reaches it, and every committed
-/// artifact is produced by full replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SamplingSpec {
-    /// Instructions spanned by one warmup→measure→skip cycle.
-    pub period: u64,
-    /// Instructions counted per window.
-    pub measure: u64,
-    /// Instructions replayed but not counted before each measure window,
-    /// re-warming the predictor and I-cache after the skipped region.
-    pub warmup: u64,
-}
-
-impl SamplingSpec {
-    /// 1-in-`n` sampling of `measure`-instruction windows, with a
-    /// warmup of half a window before each.
-    pub fn one_in(n: u64, measure: u64) -> Self {
-        Self { period: n.max(1) * measure, measure, warmup: measure / 2 }
-    }
-}
-
-/// Result of a sampled replay ([`CoreModel::run_compact_sampled`]).
-///
-/// Carries only aggregate cycle/instruction counts — outcome taxonomies
-/// and predictor counters are meaningless over disjoint windows, so no
-/// [`CoreResult`] is produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampledResult {
-    /// Trace name.
-    pub name: String,
-    /// The sampling parameters used.
-    pub spec: SamplingSpec,
-    /// Instructions counted inside measure windows.
-    pub measured_instructions: u64,
-    /// Cycles accumulated inside measure windows.
-    pub measured_cycles: u64,
-    /// Instructions replayed as warmup (modelled, not counted).
-    pub warmup_instructions: u64,
-    /// Instructions fast-forwarded with no model work.
-    pub skipped_instructions: u64,
-    /// Every instruction in the trace: measured + warmup + skipped.
-    pub total_instructions: u64,
-    /// Measure windows flushed (including a partial final window).
-    pub windows: u64,
-}
-
-impl SampledResult {
-    /// Estimated cycles per instruction: the measured windows' CPI,
-    /// extrapolated to the whole trace.
-    pub fn cpi(&self) -> f64 {
-        self.measured_cycles as f64 / self.measured_instructions.max(1) as f64
-    }
-
-    /// Fraction of the trace replayed through the full model.
-    pub fn replayed_fraction(&self) -> f64 {
-        (self.measured_instructions + self.warmup_instructions) as f64
-            / self.total_instructions.max(1) as f64
-    }
-}
-
-/// Measurement of one replay window ([`CoreModel::run_compact_windows`]).
+/// Measurement of one replay window of a [`ReplayPlan::Windows`] plan
+/// ([`LaneGroup::measures`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowMeasure {
     /// Requested window start, in retired-instruction coordinates
@@ -223,7 +154,11 @@ impl CoreModel {
         }
     }
 
-    /// Runs a whole trace and returns the result.
+    /// Runs a whole trace, one record at a time, and returns the
+    /// result. This is the reference replay: it takes any [`Trace`]
+    /// (including instruction lengths the compact form rejects), and the
+    /// differential oracle ([`crate::oracle`]) checks the compact lane
+    /// kernel ([`LaneGroup`]) against it.
     pub fn run<T: Trace>(mut self, trace: &T) -> CoreResult {
         for instr in trace.iter() {
             self.step(&instr);
@@ -231,26 +166,11 @@ impl CoreModel {
         self.finish(trace.name())
     }
 
-    /// Replays a compact branch-point trace, advancing over each
-    /// non-branch run in one batched step. Bit-identical to [`Self::run`]
-    /// over the equivalent record stream.
-    pub fn run_compact(mut self, trace: &CompactTrace) -> CoreResult {
-        let mut cursor = trace.segments();
-        while let Some(run) = cursor.next_run() {
-            let end = self.step_run(trace, &run);
-            if let Some(instr) = cursor.finish_run(end) {
-                self.step(&instr);
-            }
-        }
-        self.finish(trace.name())
-    }
-
     /// Like [`Self::run`], invoking `observe` after every retired branch
     /// instruction. Branch points are the only stream positions both the
-    /// record and the compact replay visit one-by-one, which makes them
-    /// the alignment points of the differential oracle
-    /// ([`crate::oracle`]); the hot [`Self::run`] path stays free of the
-    /// callback.
+    /// record replay and the lane kernel visit one by one, which makes
+    /// them the alignment points of the differential oracle
+    /// ([`crate::oracle`]).
     pub fn run_observed<T: Trace>(
         mut self,
         trace: &T,
@@ -264,253 +184,6 @@ impl CoreModel {
             }
         }
         self.finish(trace.name())
-    }
-
-    /// Like [`Self::run_compact`], invoking `observe` after every branch
-    /// instruction (see [`Self::run_observed`]). Non-branch terminating
-    /// points (stream discontinuities) are not observed — the record
-    /// path cannot distinguish them from run interiors.
-    pub fn run_compact_observed(
-        mut self,
-        trace: &CompactTrace,
-        mut observe: impl FnMut(&CoreModel),
-    ) -> CoreResult {
-        let mut cursor = trace.segments();
-        while let Some(run) = cursor.next_run() {
-            let end = self.step_run(trace, &run);
-            if let Some(instr) = cursor.finish_run(end) {
-                let retired_branch = !instr.wrong_path && instr.branch.is_some();
-                self.step(&instr);
-                if retired_branch {
-                    observe(&self);
-                }
-            }
-        }
-        self.finish(trace.name())
-    }
-
-    /// Replays a compact trace with windowed 1-in-N sampling: full-model
-    /// replay inside warmup and measure windows, pure cursor fast-walks
-    /// across everything else. Returns an aggregate CPI estimate.
-    ///
-    /// Re-entry after a skipped region needs no special casing: the
-    /// skip leaves [`Self::expected_addr`] stale, so the first modelled
-    /// instruction fails the continuity check and restarts the
-    /// prediction search — the same path an asynchronous control
-    /// transfer takes in full replay.
-    ///
-    /// # Panics
-    ///
-    /// When `spec.measure` is zero or `warmup + measure` exceeds
-    /// `period`.
-    pub fn run_compact_sampled(
-        mut self,
-        trace: &CompactTrace,
-        spec: SamplingSpec,
-    ) -> SampledResult {
-        assert!(spec.measure > 0, "sampling: measure window must be non-empty");
-        assert!(
-            spec.warmup.saturating_add(spec.measure) <= spec.period,
-            "sampling: warmup + measure must fit within the period"
-        );
-
-        #[derive(Clone, Copy, PartialEq)]
-        enum Phase {
-            Warmup,
-            Measure,
-            Skip,
-        }
-
-        let skip_len = spec.period - spec.warmup - spec.measure;
-        let mut warmup_instructions = 0u64;
-        let mut skipped_instructions = 0u64;
-        let mut measured_cycles = 0u64;
-        let mut measured_instructions = 0u64;
-        let mut windows = 0u64;
-
-        let (mut phase, mut left) = if spec.warmup > 0 {
-            (Phase::Warmup, spec.warmup)
-        } else {
-            (Phase::Measure, spec.measure)
-        };
-        let mut mark_cycle = self.cycle as u64;
-        let mut mark_instr = self.instructions;
-
-        let mut cursor = trace.segments();
-        while let Some(run) = cursor.next_run() {
-            let retired = if phase == Phase::Skip {
-                // Fast-walk: the length sum inside run_end is the only
-                // per-run cost; the model never sees these instructions.
-                let end = trace.run_end(&run);
-                let point = cursor.finish_run(end);
-                run.count + point.map_or(0, |i| u64::from(!i.wrong_path))
-            } else {
-                let before = self.instructions;
-                let end = self.step_run(trace, &run);
-                if let Some(instr) = cursor.finish_run(end) {
-                    self.step(&instr);
-                }
-                self.instructions - before
-            };
-            match phase {
-                Phase::Warmup => warmup_instructions += retired,
-                Phase::Skip => skipped_instructions += retired,
-                Phase::Measure => {}
-            }
-            if retired < left {
-                left -= retired;
-                continue;
-            }
-            // Phase budget consumed (possibly overshot — transitions
-            // only land on run boundaries). Flush and advance.
-            match phase {
-                Phase::Warmup => {
-                    phase = Phase::Measure;
-                    left = spec.measure;
-                    mark_cycle = self.cycle as u64;
-                    mark_instr = self.instructions;
-                }
-                Phase::Measure => {
-                    measured_cycles += self.cycle as u64 - mark_cycle;
-                    measured_instructions += self.instructions - mark_instr;
-                    windows += 1;
-                    if skip_len > 0 {
-                        phase = Phase::Skip;
-                        left = skip_len;
-                    } else if spec.warmup > 0 {
-                        phase = Phase::Warmup;
-                        left = spec.warmup;
-                    } else {
-                        // measure == period: contiguous measurement.
-                        left = spec.measure;
-                        mark_cycle = self.cycle as u64;
-                        mark_instr = self.instructions;
-                    }
-                }
-                Phase::Skip => {
-                    if spec.warmup > 0 {
-                        phase = Phase::Warmup;
-                        left = spec.warmup;
-                    } else {
-                        phase = Phase::Measure;
-                        left = spec.measure;
-                        mark_cycle = self.cycle as u64;
-                        mark_instr = self.instructions;
-                    }
-                }
-            }
-        }
-        // Trace ended mid-window: flush the partial measure window.
-        if phase == Phase::Measure && self.instructions > mark_instr {
-            measured_cycles += self.cycle as u64 - mark_cycle;
-            measured_instructions += self.instructions - mark_instr;
-            windows += 1;
-        }
-
-        SampledResult {
-            name: trace.name().to_string(),
-            spec,
-            measured_instructions,
-            measured_cycles,
-            warmup_instructions,
-            skipped_instructions,
-            total_instructions: self.instructions + skipped_instructions,
-            windows,
-        }
-    }
-
-    /// Replays only the given windows of a compact trace, fast-walking
-    /// everything between them — the replay kernel behind
-    /// SimPoint-style weighted sampling, where a clustering pass picks
-    /// the representative intervals and this method measures each one.
-    ///
-    /// `windows` are `(start, len)` pairs in retired-instruction
-    /// coordinates, sorted by start and non-overlapping. Before each
-    /// window the model replays up to `warmup` instructions un-counted,
-    /// re-warming predictor and I-cache state after the skip (clamped
-    /// when the previous window ends closer than `warmup`). As with
-    /// [`Self::run_compact_sampled`], phase transitions land on run
-    /// boundaries, so window edges can overshoot by a partial run.
-    /// Replay stops as soon as the last window flushes.
-    ///
-    /// # Panics
-    ///
-    /// When a window is empty, or windows are unsorted or overlapping.
-    pub fn run_compact_windows(
-        mut self,
-        trace: &CompactTrace,
-        windows: &[(u64, u64)],
-        warmup: u64,
-    ) -> Vec<WindowMeasure> {
-        let mut prev_end = 0u64;
-        for &(start, len) in windows {
-            assert!(len > 0, "windowed replay: empty window");
-            assert!(start >= prev_end, "windowed replay: windows unsorted or overlapping");
-            prev_end = start.saturating_add(len);
-        }
-
-        let mut out = Vec::with_capacity(windows.len());
-        let mut next = 0usize; // index of the window being approached
-        let mut measuring = false;
-        let mut done = 0u64; // retired instructions, all phases
-        let mut mark_cycle = 0u64;
-        let mut mark_instr = 0u64;
-        let mut mark_dir = 0u64;
-        let mut mark_tgt = 0u64;
-
-        let mut cursor = trace.segments();
-        while next < windows.len() {
-            let (start, len) = windows[next];
-            let warm_start = start.saturating_sub(warmup);
-            if !measuring && done >= start {
-                // Warmup (or fast-walk overshoot) reached the window:
-                // mark at this run boundary, before stepping further.
-                measuring = true;
-                mark_cycle = self.cycle as u64;
-                mark_instr = self.instructions;
-                mark_dir = self.outcomes.mispredict_direction;
-                mark_tgt = self.outcomes.mispredict_target;
-            }
-            let Some(run) = cursor.next_run() else { break };
-            let retired = if !measuring && done < warm_start {
-                // Pure cursor fast-walk: the model never sees these.
-                let end = trace.run_end(&run);
-                let point = cursor.finish_run(end);
-                run.count + point.map_or(0, |i| u64::from(!i.wrong_path))
-            } else {
-                let before = self.instructions;
-                let end = self.step_run(trace, &run);
-                if let Some(instr) = cursor.finish_run(end) {
-                    self.step(&instr);
-                }
-                self.instructions - before
-            };
-            done += retired;
-            if measuring && done >= start.saturating_add(len) {
-                out.push(WindowMeasure {
-                    start,
-                    instructions: self.instructions - mark_instr,
-                    cycles: self.cycle as u64 - mark_cycle,
-                    dir_mispredicts: self.outcomes.mispredict_direction - mark_dir,
-                    target_mispredicts: self.outcomes.mispredict_target - mark_tgt,
-                });
-                measuring = false;
-                next += 1;
-            }
-        }
-        // Trace ended inside the final window: flush the partial
-        // measurement (the trailing intervals of a trace are shorter
-        // than the nominal interval length).
-        if measuring && self.instructions > mark_instr {
-            out.push(WindowMeasure {
-                start: windows[next].0,
-                instructions: self.instructions - mark_instr,
-                cycles: self.cycle as u64 - mark_cycle,
-                dir_mispredicts: self.outcomes.mispredict_direction - mark_dir,
-                target_mispredicts: self.outcomes.mispredict_target - mark_tgt,
-            });
-        }
-        out
     }
 
     /// Executes one instruction.
@@ -546,142 +219,28 @@ impl CoreModel {
         }
     }
 
-    /// Executes the non-branch run preceding one branch point: `count`
-    /// sequential instructions from `run.start`, lengths read from the
-    /// compact code stream. Returns the address one past the run (the
-    /// terminating point's own address).
+    /// Replays the non-branch run described by `spans`, the run's
+    /// maximal same-line address spans for *this* model's L1I line size,
+    /// in order. `end` is the address one past the run (the terminating
+    /// point's own address).
     ///
-    /// Equivalence with per-instruction [`Self::step`]: the cycle/count
-    /// accumulators see the identical sequence of f64 additions; the
-    /// discontinuity check only ever fires on the first instruction
-    /// (runs are sequential by construction); and completions flush as
-    /// one [`BranchPredictor::note_completion_run`] per I-cache line
-    /// span, after that line's access and before the next line's — the
-    /// exact interleaving the per-instruction path produces.
-    fn step_run(&mut self, trace: &CompactTrace, run: &Run) -> InstAddr {
-        let mut addr = run.start;
-        if run.count == 0 {
-            return addr;
-        }
-        // The run end is the terminating branch's own address: hint its
-        // BTB rows into cache now so the walk below shadows the loads
-        // the prediction would otherwise stall on. No model effect.
-        self.predictor.prefetch(trace.run_end(run));
-        let mut code = run.first_code;
-
-        // First instruction: stream-start / discontinuity check, then
-        // the line-transition charge, exactly as step() orders them.
-        self.instructions += 1;
-        self.cycle += self.step_cycles;
-        match self.expected_addr {
-            Some(expected) if expected == addr => {}
-            _ => self.predictor.restart(addr, self.cycle as u64),
-        }
-        let mut cur_line = self.icache.line_of(addr);
-        if self.cur_line != Some(cur_line) {
-            self.line_access(cur_line, addr);
-        }
-        let mut span_first = addr;
-        let mut span_last = addr;
-        addr = addr.add(u64::from(trace.len_at(code)));
-        code += 1;
-
-        // Remaining instructions stay register-resident: the accumulators
-        // round-trip through `self` only at line transitions (where the
-        // access path may add stall cycles).
-        let step = self.step_cycles;
-        let mut cycle = self.cycle;
-        let mut instructions = self.instructions;
-        let end = run.first_code + run.count;
-        let codes = trace.len_code_stream();
-
-        macro_rules! per_instr {
-            () => {{
-                instructions += 1;
-                cycle += step;
-                let line = self.icache.line_of(addr);
-                if line != cur_line {
-                    self.cycle = cycle;
-                    self.instructions = instructions;
-                    self.predictor.note_completion_run(span_first, span_last);
-                    self.line_access(line, addr);
-                    cycle = self.cycle;
-                    cur_line = line;
-                    span_first = addr;
-                }
-                span_last = addr;
-                addr = addr.add(u64::from(trace.len_at(code)));
-                code += 1;
-            }};
-        }
-
-        // Head: walk to a packed-byte boundary so the group loop can
-        // consume whole length-code bytes.
-        while code < end && (code & 3) != 0 {
-            per_instr!();
-        }
-        // Fast path: one [`GROUP_LUT`] lookup decodes four instructions.
-        // Addresses within a run are strictly increasing, so if the
-        // fourth instruction's line equals `cur_line` (which holds
-        // `span_last < addr`), all four land in `cur_line` and neither a
-        // flush nor per-instruction decode is needed. The cycle
-        // accumulator still sees four *serial* additions — `4.0 * step`
-        // would round differently and break bit-identity with
-        // [`Self::step`].
-        while code + 4 <= end {
-            let span = GROUP_LUT[usize::from(codes[(code >> 2) as usize])];
-            let last = addr.add(u64::from(span.last_off));
-            if self.icache.line_of(last) == cur_line {
-                cycle += step;
-                cycle += step;
-                cycle += step;
-                cycle += step;
-                instructions += 4;
-                span_last = last;
-                addr = addr.add(u64::from(span.total));
-                code += 4;
-            } else {
-                // Line transition somewhere in the group: replay all
-                // four through the exact per-instruction path (keeps
-                // `code` byte-aligned for the next group).
-                per_instr!();
-                per_instr!();
-                per_instr!();
-                per_instr!();
-            }
-        }
-        // Tail: fewer than four instructions left.
-        while code < end {
-            per_instr!();
-        }
-        self.cycle = cycle;
-        self.instructions = instructions;
-        self.predictor.note_completion_run(span_first, span_last);
-        self.expected_addr = Some(addr);
-        addr
-    }
-
-    /// Replays the non-branch run described by `spans` — the lane-group
-    /// form of [`Self::step_run`], consuming a pre-decoded span list
-    /// instead of walking the length-code stream itself. `end` is the
-    /// address one past the run (the terminating point's own address),
-    /// and `spans` must be the run's maximal same-line address spans
-    /// for *this* model's L1I line size, in order.
-    ///
-    /// Equivalence with [`Self::step_run`]: the span boundaries are
-    /// exactly the line transitions the per-instruction walk observes
-    /// (spans are a pure function of the run's addresses and the line
-    /// size), so the flush / [`BranchPredictor::note_completion_run`] /
-    /// [`Self::line_access`] interleaving is identical, and the cycle
-    /// accumulator sees the same sequence of serial f64 additions —
+    /// Equivalence with per-instruction [`Self::step`]: the span
+    /// boundaries are exactly the line transitions the per-instruction
+    /// walk observes (spans are a pure function of the run's addresses
+    /// and the line size); the discontinuity check can only fire on the
+    /// first instruction (runs are sequential by construction); the
+    /// cycle accumulator sees the same sequence of serial f64 additions,
     /// one per instruction, round-tripped through `self` only at span
-    /// boundaries.
+    /// boundaries; and completions flush as one
+    /// [`BranchPredictor::note_completion_run`] per span, after that
+    /// line's access and before the next line's, which is the
+    /// interleaving the per-instruction path produces.
     fn step_spans(&mut self, spans: &[LineSpan], end: InstAddr) {
         let first = spans[0];
         self.predictor.prefetch(end);
 
         // First instruction: stream-start / discontinuity check, then
-        // the line-transition charge, exactly as step_run() orders them.
+        // the line-transition charge, exactly as step() orders them.
         self.instructions += 1;
         self.cycle += self.step_cycles;
         match self.expected_addr {
@@ -724,19 +283,6 @@ impl CoreModel {
         self.instructions = instructions;
         self.predictor.note_completion_run(prev.first, prev.last);
         self.expected_addr = Some(end);
-    }
-
-    /// Replays one compact trace through several independent lanes with
-    /// a single decode pass: the trace's run/point structure is walked
-    /// once, each run is decoded once per distinct L1I line size, and
-    /// every lane consumes the shared decode. Per-lane state (predictor,
-    /// I-cache, cycle accounting) is fully isolated, so the results are
-    /// bit-identical to running [`Self::run_compact`] once per lane —
-    /// see [`LaneGroup`] for the reusable-driver form.
-    pub fn run_compact_lanes(lanes: Vec<CoreModel>, trace: &CompactTrace) -> Vec<CoreResult> {
-        let mut group = LaneGroup::new(lanes);
-        group.replay(trace);
-        group.finish(trace.name())
     }
 
     /// Charges one 256 B fetch-line transition at `addr`.
@@ -922,6 +468,29 @@ impl CoreModel {
     pub fn instructions(&self) -> u64 {
         self.instructions
     }
+
+    /// The counters a window measure subtracts, as of now.
+    fn window_mark(&self, start: u64) -> WindowMeasure {
+        WindowMeasure {
+            start,
+            instructions: self.instructions,
+            cycles: self.cycle as u64,
+            dir_mispredicts: self.outcomes.mispredict_direction,
+            target_mispredicts: self.outcomes.mispredict_target,
+        }
+    }
+
+    /// The window measured since `mark` was taken.
+    fn measure_since(&self, mark: &WindowMeasure) -> WindowMeasure {
+        let now = self.window_mark(mark.start);
+        WindowMeasure {
+            start: mark.start,
+            instructions: now.instructions - mark.instructions,
+            cycles: now.cycles - mark.cycles,
+            dir_mispredicts: now.dir_mispredicts - mark.dir_mispredicts,
+            target_mispredicts: now.target_mispredicts - mark.target_mispredicts,
+        }
+    }
 }
 
 /// One maximal same-line address span inside a non-branch run: `count`
@@ -938,9 +507,9 @@ struct LineSpan {
 /// a given line shift (`line = addr >> shift`), reusing `out`'s
 /// capacity, and returns the run's end address (the decode walks every
 /// length code anyway, so the end — what [`CompactTrace::run_end`]
-/// would recompute with a second walk — falls out for free). The walk
-/// mirrors [`CoreModel::step_run`]'s decode: a [`GROUP_LUT`] lookup
-/// advances four instructions when the group's last address stays in
+/// would recompute with a second walk — falls out for free). A
+/// [`GROUP_LUT`] lookup advances four instructions when the group's
+/// last address stays in
 /// the current line (addresses within a run are strictly increasing,
 /// so the whole group does), per-instruction decode otherwise. The
 /// caller must not pass an empty run.
@@ -999,19 +568,57 @@ fn decode_spans(trace: &CompactTrace, run: &Run, shift: u32, out: &mut Vec<LineS
     addr
 }
 
-/// Decode-once lane-batched replay driver.
+/// What one [`LaneGroup::replay`] call models of a compact trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplayPlan<'a> {
+    /// Every instruction: the exact replay behind every grid cell. It
+    /// is one window spanning the whole trace, so the measures it
+    /// leaves are the full replay's cycles and instructions.
+    Whole,
+    /// Only the given windows: the replay kernel behind SimPoint-style
+    /// weighted sampling, where a clustering pass picks representative
+    /// intervals and this plan measures each one.
+    Windows {
+        /// `(start, len)` pairs in retired-instruction coordinates,
+        /// sorted by start and non-overlapping.
+        windows: &'a [(u64, u64)],
+        /// Instructions replayed uncounted before each window,
+        /// re-warming predictor and I-cache state after the skip
+        /// (clamped when the previous window ends closer than this).
+        warmup: u64,
+    },
+}
+
+/// [`ReplayPlan::Whole`] as a window list.
+const WHOLE: [(u64, u64); 1] = [(0, u64::MAX)];
+
+/// Where a windowed walk stands: the window it approaches or measures,
+/// and the retired-instruction position of its next phase change.
+struct Phase {
+    /// Index of the window being approached or measured.
+    next: usize,
+    /// Inside window `next`.
+    measuring: bool,
+    /// Before window `next`'s warmup: cursor-only fast-walk.
+    fast: bool,
+    /// Position at which the phase next changes.
+    edge: u64,
+}
+
+/// Decode-once lane-batched replay: the one loop that replays a compact
+/// trace.
 ///
 /// A lane group walks one [`SegmentCursor`](zbp_trace::compact::SegmentCursor)
 /// over a compact trace and feeds every decoded run to N independent
 /// [`CoreModel`] lanes: the run/point structure and the length-code
 /// stream are decoded once per run (once per *distinct* L1I line size
-/// when lanes differ in geometry), instead of once per lane as N
-/// sequential [`CoreModel::run_compact`] calls would. Each lane owns
-/// its predictor, I-cache and cycle accounting, so lane results are
-/// bit-identical to the sequential calls.
+/// when lanes differ in geometry). Each lane owns its predictor,
+/// I-cache and cycle accounting, so a lane's result does not depend on
+/// its neighbours, and equals [`CoreModel::run`] over the same stream.
 ///
-/// The span scratch buffers are reused across runs, keeping the replay
-/// walk allocation-free once they reach steady-state capacity.
+/// The span scratch, window marks and measures are reused across runs
+/// and calls, keeping the replay walk allocation-free once they reach
+/// steady-state capacity.
 #[derive(Debug)]
 pub struct LaneGroup {
     lanes: Vec<CoreModel>,
@@ -1021,6 +628,10 @@ pub struct LaneGroup {
     shift_of: Vec<usize>,
     /// Reusable span scratch, one buffer per distinct shift.
     spans: Vec<Vec<LineSpan>>,
+    /// Per-lane state at the start of the window being measured.
+    marks: Vec<WindowMeasure>,
+    /// Per-lane window measures of the last replay.
+    measures: Vec<Vec<WindowMeasure>>,
 }
 
 impl LaneGroup {
@@ -1038,31 +649,62 @@ impl LaneGroup {
             })
             .collect();
         let spans = shifts.iter().map(|_| Vec::new()).collect();
-        Self { lanes, shifts, shift_of, spans }
+        let marks = lanes.iter().map(|lane| lane.window_mark(0)).collect();
+        let measures = lanes.iter().map(|_| Vec::new()).collect();
+        Self { lanes, shifts, shift_of, spans, marks, measures }
     }
 
-    /// Number of lanes in the group.
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Whether the group has no lanes.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// Replays the whole trace through every lane from a single cursor
-    /// walk. Callable repeatedly; each call appends the trace's stream
-    /// to every lane, exactly as chained [`CoreModel::run_compact`]
-    /// walks would.
-    pub fn replay(&mut self, trace: &CompactTrace) {
+    /// Replays `trace` through every lane from a single cursor walk,
+    /// modelling what `plan` asks for and fast-walking the rest with
+    /// the cursor alone. `observe(lane, model, instr)` runs after every
+    /// retired branch a lane models (warmup included); a no-op closure
+    /// compiles away.
+    ///
+    /// Callable repeatedly: each call continues every lane where the
+    /// last one left it, so replaying a stream chunk by chunk equals
+    /// replaying it whole as long as each chunk boundary falls on a run
+    /// boundary (right after a retired branch). Window positions count
+    /// retired instructions from the start of `trace`, and phase
+    /// transitions land on run boundaries, so window edges can
+    /// overshoot by a partial run. A windowed replay stops as soon as
+    /// its last window flushes. Re-entry after a skipped region needs
+    /// no special casing: the skip leaves a lane's expected address
+    /// stale, so the first modelled instruction restarts the prediction
+    /// search, the same path an asynchronous control transfer takes.
+    ///
+    /// # Panics
+    ///
+    /// When a window is empty, or windows are unsorted or overlapping.
+    pub fn replay<O>(&mut self, trace: &CompactTrace, plan: ReplayPlan<'_>, mut observe: O)
+    where
+        O: FnMut(usize, &CoreModel, &TraceInstr),
+    {
+        let (windows, warmup) = match plan {
+            ReplayPlan::Whole => (&WHOLE[..], 0),
+            ReplayPlan::Windows { windows, warmup } => {
+                let mut prev_end = 0u64;
+                for &(start, len) in windows {
+                    assert!(len > 0, "windowed replay: empty window");
+                    assert!(start >= prev_end, "windowed replay: windows unsorted or overlapping");
+                    prev_end = start.saturating_add(len);
+                }
+                (windows, warmup)
+            }
+        };
+        for measures in &mut self.measures {
+            measures.clear();
+        }
+        let mut phase = Phase { next: 0, measuring: false, fast: false, edge: 0 };
+        let mut done = 0u64; // retired instructions, all phases
         let mut cursor = trace.segments();
         while let Some(run) = cursor.next_run() {
+            if done >= phase.edge && !self.advance(&mut phase, windows, warmup, done) {
+                return;
+            }
             // The span decode yields the run's end address as a
-            // by-product, so the whole group pays one length-code walk
-            // per run (per distinct shift) where each sequential
-            // `run_compact` pays two (`run_end` + the fused decode).
-            let end = if run.count == 0 || self.shifts.is_empty() {
+            // by-product, so the group pays one length-code walk per run
+            // (per distinct shift); a fast-walk pays only the length sum.
+            let end = if phase.fast || run.count == 0 || self.shifts.is_empty() {
                 trace.run_end(&run)
             } else {
                 let mut end = run.start;
@@ -1074,12 +716,75 @@ impl LaneGroup {
                 }
                 end
             };
+            done += run.count;
             if let Some(instr) = cursor.finish_run(end) {
-                for lane in &mut self.lanes {
-                    lane.step(&instr);
+                done += u64::from(!instr.wrong_path);
+                if !phase.fast {
+                    let retired_branch = !instr.wrong_path && instr.branch.is_some();
+                    for (i, lane) in self.lanes.iter_mut().enumerate() {
+                        lane.step(&instr);
+                        if retired_branch {
+                            observe(i, lane, &instr);
+                        }
+                    }
                 }
             }
         }
+        // The trace ended inside a window: flush it, partial or not
+        // (the trailing intervals of a trace are shorter than the
+        // nominal interval length).
+        if phase.measuring {
+            let complete = done >= phase.edge;
+            for ((lane, mark), out) in self.lanes.iter().zip(&self.marks).zip(&mut self.measures) {
+                if complete || lane.instructions > mark.instructions {
+                    out.push(lane.measure_since(mark));
+                }
+            }
+        }
+    }
+
+    /// Moves `phase` across the run boundary at retired position
+    /// `done`: flushes the window being measured once `done` reaches its
+    /// end, then marks the next window once `done` reaches its start, or
+    /// sets the edge of its warmup or fast-walk otherwise. Returns
+    /// `false` once every window has flushed.
+    fn advance(
+        &mut self,
+        phase: &mut Phase,
+        windows: &[(u64, u64)],
+        warmup: u64,
+        done: u64,
+    ) -> bool {
+        if phase.measuring {
+            for ((lane, mark), out) in self.lanes.iter().zip(&self.marks).zip(&mut self.measures) {
+                out.push(lane.measure_since(mark));
+            }
+            phase.measuring = false;
+            phase.next += 1;
+        }
+        let Some(&(start, len)) = windows.get(phase.next) else {
+            return false;
+        };
+        let warm_start = start.saturating_sub(warmup);
+        if done >= start {
+            for (mark, lane) in self.marks.iter_mut().zip(&self.lanes) {
+                *mark = lane.window_mark(start);
+            }
+            phase.measuring = true;
+            phase.fast = false;
+            phase.edge = start.saturating_add(len);
+        } else {
+            phase.fast = done < warm_start;
+            phase.edge = if phase.fast { warm_start } else { start };
+        }
+        true
+    }
+
+    /// Lane `lane`'s window measures from the last [`Self::replay`], in
+    /// window order; a window the trace ended before reaching is
+    /// missing.
+    pub fn measures(&self, lane: usize) -> &[WindowMeasure] {
+        &self.measures[lane]
     }
 
     /// Finalizes every lane, in lane order.
@@ -1218,28 +923,31 @@ mod tests {
         assert!(r.cpi() > 0.0);
     }
 
-    #[test]
-    fn whole_trace_measure_window_matches_full_replay_exactly() {
-        let compact = CompactTrace::capture(&loop_trace(2000)).unwrap();
-        let full = model().run_compact(&compact);
-        let spec = SamplingSpec { period: u64::MAX, measure: u64::MAX, warmup: 0 };
-        let sampled = model().run_compact_sampled(&compact, spec);
-        assert_eq!(sampled.measured_instructions, full.instructions);
-        assert_eq!(sampled.measured_cycles, full.cycles);
-        assert_eq!(sampled.total_instructions, full.instructions);
-        assert_eq!(sampled.skipped_instructions, 0);
-        assert_eq!(sampled.warmup_instructions, 0);
-        assert_eq!(sampled.windows, 1);
-        assert!((sampled.cpi() - full.cpi()).abs() < 1e-12);
-        assert!((sampled.replayed_fraction() - 1.0).abs() < 1e-12);
+    /// Replays `trace` whole through one group of `models`.
+    fn replay_lanes(models: Vec<CoreModel>, trace: &CompactTrace) -> Vec<CoreResult> {
+        let mut group = LaneGroup::new(models);
+        group.replay(trace, ReplayPlan::Whole, |_, _, _| {});
+        group.finish(trace.name())
+    }
+
+    /// One lane's measures of a windowed replay.
+    fn window_measures(
+        model: CoreModel,
+        trace: &CompactTrace,
+        windows: &[(u64, u64)],
+        warmup: u64,
+    ) -> Vec<WindowMeasure> {
+        let mut group = LaneGroup::new(vec![model]);
+        group.replay(trace, ReplayPlan::Windows { windows, warmup }, |_, _, _| {});
+        group.measures(0).to_vec()
     }
 
     #[test]
     fn whole_trace_window_matches_full_replay_exactly() {
-        let compact = CompactTrace::capture(&loop_trace(2000)).unwrap();
-        let full = model().run_compact(&compact);
-        let windows = [(0u64, u64::MAX)];
-        let measures = model().run_compact_windows(&compact, &windows, 0);
+        let trace = loop_trace(2000);
+        let compact = CompactTrace::capture(&trace).unwrap();
+        let full = model().run(&trace);
+        let measures = window_measures(model(), &compact, &[(0, u64::MAX)], 0);
         assert_eq!(measures.len(), 1);
         let w = measures[0];
         assert_eq!(w.start, 0);
@@ -1248,6 +956,11 @@ mod tests {
         assert_eq!(w.dir_mispredicts, full.outcomes.mispredict_direction);
         assert_eq!(w.target_mispredicts, full.outcomes.mispredict_target);
         assert!((w.cpi() - full.cpi()).abs() < 1e-12);
+        // A whole replay is that same window.
+        let mut group = LaneGroup::new(vec![model()]);
+        group.replay(&compact, ReplayPlan::Whole, |_, _, _| {});
+        assert_eq!(group.measures(0), &measures[..]);
+        assert_eq!(group.finish(compact.name()), vec![full]);
     }
 
     #[test]
@@ -1256,8 +969,8 @@ mod tests {
         let trace = WorkloadProfile::tpf_airline().build_with_len(11, 60_000);
         let compact = CompactTrace::capture(&trace).unwrap();
         let windows = [(5_000u64, 4_000u64), (20_000, 4_000), (50_000, 4_000)];
-        let a = model().run_compact_windows(&compact, &windows, 1_000);
-        let b = model().run_compact_windows(&compact, &windows, 1_000);
+        let a = window_measures(model(), &compact, &windows, 1_000);
+        let b = window_measures(model(), &compact, &windows, 1_000);
         assert_eq!(a, b, "windowed replay must be deterministic");
         assert_eq!(a.len(), 3);
         for (w, &(start, len)) in a.iter().zip(&windows) {
@@ -1270,69 +983,53 @@ mod tests {
             assert!(w.cycles > 0);
         }
         // A warmup-free run differs (cold predictor at window entry).
-        let cold = model().run_compact_windows(&compact, &windows, 0);
+        let cold = window_measures(model(), &compact, &windows, 0);
         assert_ne!(a, cold);
+        // A window past the end of the trace is never reached.
+        let beyond = window_measures(model(), &compact, &[(5_000, 4_000), (90_000, 10)], 0);
+        assert_eq!(beyond.len(), 1);
+        assert_eq!(beyond[0], cold[0]);
     }
 
     #[test]
     #[should_panic(expected = "unsorted or overlapping")]
     fn windowed_replay_rejects_overlap() {
         let compact = CompactTrace::capture(&loop_trace(100)).unwrap();
-        let _ = model().run_compact_windows(&compact, &[(0, 50), (20, 30)], 0);
+        let _ = window_measures(model(), &compact, &[(0, 50), (20, 30)], 0);
     }
 
     #[test]
-    fn sampled_replay_skips_deterministically_and_estimates_cpi() {
+    #[should_panic(expected = "empty window")]
+    fn windowed_replay_rejects_empty_windows() {
+        let compact = CompactTrace::capture(&loop_trace(100)).unwrap();
+        let _ = window_measures(model(), &compact, &[(0, 50), (60, 0)], 0);
+    }
+
+    #[test]
+    fn multi_lane_windows_match_width_one_groups() {
         use zbp_trace::profile::WorkloadProfile;
-        let trace = WorkloadProfile::tpf_airline().build_with_len(11, 60_000);
+        let trace = WorkloadProfile::zos_lspr_cb84().build_with_len(5, 50_000);
         let compact = CompactTrace::capture(&trace).unwrap();
-        let full = model().run_compact(&compact);
-        let spec = SamplingSpec::one_in(5, 2_000);
-        let a = model().run_compact_sampled(&compact, spec);
-        let b = model().run_compact_sampled(&compact, spec);
-        assert_eq!(a, b, "sampling must be deterministic");
-        assert_eq!(a.total_instructions, full.instructions);
-        assert!(a.skipped_instructions > 0, "1-in-5 must actually skip");
-        assert!(a.windows > 1, "windows={}", a.windows);
-        assert!(
-            a.replayed_fraction() < 0.5,
-            "1-in-5 with half-window warmup replays ~30%, got {}",
-            a.replayed_fraction()
+        let windows = [(2_000u64, 3_000u64), (9_000, 6_000), (15_000, 1), (30_000, 40_000)];
+        let mut small_lines = UarchConfig::zec12();
+        small_lines.l1i.line_bytes = 64;
+        let lanes = || {
+            lane_configs()
+                .into_iter()
+                .map(|pc| CoreModel::new(UarchConfig::zec12(), pc))
+                .chain([CoreModel::new(small_lines, PredictorConfig::zec12())])
+        };
+        let mut group = LaneGroup::new(lanes().collect());
+        group.replay(
+            &compact,
+            ReplayPlan::Windows { windows: &windows, warmup: 1_500 },
+            |_, _, _| {},
         );
-        let err = (a.cpi() - full.cpi()).abs() / full.cpi();
-        assert!(err < 0.15, "sampled {} vs full {} ({:.1}% off)", a.cpi(), full.cpi(), err * 100.0);
-    }
-
-    #[test]
-    fn sampling_windows_cover_disc_and_skip_reentry() {
-        // Period smaller than the loop body count forces many
-        // skip→warmup re-entries; totals must still be conserved.
-        let compact = CompactTrace::capture(&loop_trace(3000)).unwrap();
-        let spec = SamplingSpec { period: 64, measure: 16, warmup: 8 };
-        let s = model().run_compact_sampled(&compact, spec);
-        assert_eq!(
-            s.measured_instructions + s.warmup_instructions + s.skipped_instructions,
-            s.total_instructions
-        );
-        assert_eq!(s.total_instructions, 9000);
-        assert!(s.windows > 10);
-        assert!(s.cpi() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "measure window must be non-empty")]
-    fn sampling_rejects_empty_measure_window() {
-        let compact = CompactTrace::capture(&loop_trace(10)).unwrap();
-        let spec = SamplingSpec { period: 100, measure: 0, warmup: 10 };
-        let _ = model().run_compact_sampled(&compact, spec);
-    }
-
-    #[test]
-    #[should_panic(expected = "must fit within the period")]
-    fn sampling_rejects_overfull_period() {
-        let compact = CompactTrace::capture(&loop_trace(10)).unwrap();
-        let spec = SamplingSpec { period: 100, measure: 80, warmup: 40 };
-        let _ = model().run_compact_sampled(&compact, spec);
+        for (i, lane) in lanes().enumerate() {
+            let alone = window_measures(lane, &compact, &windows, 1_500);
+            assert_eq!(alone.len(), windows.len(), "the last window ends with the trace");
+            assert_eq!(group.measures(i), &alone[..], "lane {i}");
+        }
     }
 
     #[test]
@@ -1358,22 +1055,44 @@ mod tests {
         assert_eq!(noisy, clean);
     }
 
+    /// The lane configurations the lane tests sweep: differing BTB
+    /// geometries stress per-lane predictor isolation.
+    fn lane_configs() -> Vec<PredictorConfig> {
+        vec![
+            PredictorConfig::zec12(),
+            PredictorConfig::no_btb2(),
+            PredictorConfig::large_btb1(),
+            PredictorConfig::zec12(), // duplicate lane: must still isolate
+        ]
+    }
+
     #[test]
-    fn compact_replay_is_bit_identical_to_record_replay() {
+    fn lane_replay_is_bit_identical_to_record_replay() {
         use zbp_trace::profile::WorkloadProfile;
         for (seed, len) in [(7u64, 40_000u64), (0xEC12, 25_000)] {
             for p in [WorkloadProfile::tpf_airline(), WorkloadProfile::zos_lspr_cb84()] {
                 let gen = p.build_with_len(seed, len);
                 let compact = CompactTrace::capture(&gen).expect("encodable");
-                let by_record = model().run(&gen);
-                let by_compact = model().run_compact(&compact);
-                assert_eq!(by_compact, by_record, "{} seed {seed:#x}", gen.name());
+                let lanes = lane_configs()
+                    .into_iter()
+                    .map(|pc| CoreModel::new(UarchConfig::zec12(), pc))
+                    .collect();
+                let batched = replay_lanes(lanes, &compact);
+                for (lane, pc) in batched.iter().zip(lane_configs()) {
+                    let alone = replay_lanes(
+                        vec![CoreModel::new(UarchConfig::zec12(), pc.clone())],
+                        &compact,
+                    );
+                    let by_record = CoreModel::new(UarchConfig::zec12(), pc).run(&gen);
+                    assert_eq!(*lane, by_record, "{} seed {seed:#x}", gen.name());
+                    assert_eq!(alone, vec![by_record], "{} seed {seed:#x}", gen.name());
+                }
             }
         }
     }
 
     #[test]
-    fn compact_replay_handles_discontinuities_and_empty_runs() {
+    fn lane_replay_handles_discontinuities_and_empty_runs() {
         // Back-to-back branches (empty runs), a discontinuity, and a
         // trailing branchless tail.
         let mut v = Vec::new();
@@ -1392,63 +1111,9 @@ mod tests {
         }
         let vt = VecTrace::new("disc", v);
         let compact = CompactTrace::capture(&vt).unwrap();
-        assert_eq!(model().run_compact(&compact), model().run(&vt));
-    }
-
-    /// The lane configurations the lane tests sweep: differing BTB
-    /// geometries stress per-lane predictor isolation.
-    fn lane_configs() -> Vec<PredictorConfig> {
-        vec![
-            PredictorConfig::zec12(),
-            PredictorConfig::no_btb2(),
-            PredictorConfig::large_btb1(),
-            PredictorConfig::zec12(), // duplicate lane: must still isolate
-        ]
-    }
-
-    #[test]
-    fn lane_replay_is_bit_identical_to_sequential_compact_replay() {
-        use zbp_trace::profile::WorkloadProfile;
-        for p in [WorkloadProfile::tpf_airline(), WorkloadProfile::zos_lspr_cb84()] {
-            let gen = p.build_with_len(7, 30_000);
-            let compact = CompactTrace::capture(&gen).expect("encodable");
-            let lanes = lane_configs()
-                .into_iter()
-                .map(|pc| CoreModel::new(UarchConfig::zec12(), pc))
-                .collect();
-            let batched = CoreModel::run_compact_lanes(lanes, &compact);
-            let sequential: Vec<CoreResult> = lane_configs()
-                .into_iter()
-                .map(|pc| CoreModel::new(UarchConfig::zec12(), pc).run_compact(&compact))
-                .collect();
-            assert_eq!(batched, sequential, "{}", gen.name());
-        }
-    }
-
-    #[test]
-    fn lane_replay_handles_discontinuities_and_empty_runs() {
-        let mut v = Vec::new();
-        let b = |a: u64, t: u64| {
-            TraceInstr::branch(
-                InstAddr::new(a),
-                4,
-                BranchRec::taken(BranchKind::Unconditional, InstAddr::new(t)),
-            )
-        };
-        v.push(b(0x1000, 0x2000));
-        v.push(b(0x2000, 0x3000)); // empty run between branches
-        v.push(TraceInstr::plain(InstAddr::new(0x9000), 4)); // discontinuity
-        for i in 0..600u64 {
-            v.push(TraceInstr::plain(InstAddr::new(0x9004 + i * 6), 6));
-        }
-        let compact = CompactTrace::capture(&VecTrace::new("disc", v)).unwrap();
-        let lanes = vec![model(), CoreModel::new(UarchConfig::zec12(), PredictorConfig::no_btb2())];
-        let batched = CoreModel::run_compact_lanes(lanes, &compact);
-        assert_eq!(batched[0], model().run_compact(&compact));
-        assert_eq!(
-            batched[1],
-            CoreModel::new(UarchConfig::zec12(), PredictorConfig::no_btb2()).run_compact(&compact)
-        );
+        let no_btb2 = || CoreModel::new(UarchConfig::zec12(), PredictorConfig::no_btb2());
+        let batched = replay_lanes(vec![model(), no_btb2()], &compact);
+        assert_eq!(batched, vec![model().run(&vt), no_btb2().run(&vt)]);
     }
 
     #[test]
@@ -1456,28 +1121,20 @@ mod tests {
         use zbp_trace::profile::WorkloadProfile;
         // Lanes with different L1I line sizes decode separate span
         // lists from the same cursor walk; each must match its own
-        // sequential replay exactly.
+        // record replay exactly.
         let mut small_lines = UarchConfig::zec12();
         small_lines.l1i.line_bytes = 64;
         let gen = WorkloadProfile::tpf_airline().build_with_len(3, 25_000);
         let compact = CompactTrace::capture(&gen).unwrap();
-        let lanes = vec![
-            CoreModel::new(UarchConfig::zec12(), PredictorConfig::zec12()),
-            CoreModel::new(small_lines, PredictorConfig::zec12()),
-        ];
-        let batched = CoreModel::run_compact_lanes(lanes, &compact);
-        assert_eq!(batched[0], model().run_compact(&compact));
-        assert_eq!(
-            batched[1],
-            CoreModel::new(small_lines, PredictorConfig::zec12()).run_compact(&compact)
-        );
+        let small = || CoreModel::new(small_lines, PredictorConfig::zec12());
+        let batched = replay_lanes(vec![model(), small()], &compact);
+        assert_eq!(batched, vec![model().run(&gen), small().run(&gen)]);
     }
 
     #[test]
     fn empty_lane_group_is_harmless() {
         let compact = CompactTrace::capture(&loop_trace(50)).unwrap();
-        let results = CoreModel::run_compact_lanes(Vec::new(), &compact);
-        assert!(results.is_empty());
+        assert!(replay_lanes(Vec::new(), &compact).is_empty());
     }
 }
 

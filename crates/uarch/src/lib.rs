@@ -20,4 +20,4 @@ pub mod oracle;
 pub mod penalty;
 
 pub use config::UarchConfig;
-pub use core::{CoreModel, CoreResult, WindowMeasure};
+pub use core::{CoreModel, CoreResult, LaneGroup, ReplayPlan, WindowMeasure};

@@ -42,7 +42,7 @@ COMMANDS:
     analyze                       branch reuse-distance profile vs the BTB capacities
     report                        render results/*.json into results/REPORT.md
     fuzz                          differential fuzz: random cells through the
-                                  record/compact/cached/fresh paths, diffed per branch
+                                  record/lane/cached/fresh/store paths, diffed per branch
     trace info <FILE>             summarize an external .zbxt branch trace
     trace convert <FILE>          convert an external .zbxt trace to the native
                                   .zbpt format (--out required)

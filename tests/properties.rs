@@ -97,7 +97,7 @@ fn trace_store_roundtrips_every_table4_profile_bit_identically() {
         // as the freshly generated trace (the warm-grid contract).
         let config = SimConfig::btb2_enabled();
         let direct = Simulator::run_config(&config, &gen);
-        let replayed = Simulator::run_config_compact(&config, &loaded);
+        let replayed = Simulator::run_configs_compact_lanes(&[&config], &loaded).remove(0);
         assert_eq!(replayed.core, direct.core, "{}", profile.name);
     }
     // Profiles at this length stay within near-delta targets, so cover
@@ -126,7 +126,7 @@ fn trace_store_roundtrips_every_table4_profile_bit_identically() {
         assert_eq!(loaded.branch_points(), compact.branch_points());
         let config = SimConfig::btb2_enabled();
         let direct = Simulator::run_config(&config, &gen);
-        let replayed = Simulator::run_config_compact(&config, &loaded);
+        let replayed = Simulator::run_configs_compact_lanes(&[&config], &loaded).remove(0);
         assert_eq!(replayed.core, direct.core);
     }
     std::fs::remove_dir_all(&dir).unwrap();
