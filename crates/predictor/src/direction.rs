@@ -14,9 +14,9 @@
 //!   of per-branch history registers indexing a shared pattern table.
 //! * [`Gshare`] — McFarling's global-history predictor: one global shift
 //!   register XORed with the PC into a 2-bit counter table.
-//! * [`Tage`](crate::tage::Tage) — a parameterized TAGE with geometric
-//!   history lengths, partially tagged tables and usefulness counters
-//!   (see [`crate::tage`]).
+//! * [`Tage`] — a parameterized TAGE with geometric history lengths,
+//!   partially tagged tables and usefulness counters (see
+//!   [`crate::tage`]).
 //!
 //! Every backend embeds an [`AuxStack`] — the CTB target override, the
 //! surprise BHT and the global path history — so the surprise-guess and
@@ -35,7 +35,7 @@ use crate::history::PathHistory;
 use crate::pht::Pht;
 use crate::statsbus::{Counter, StatsBus};
 use crate::tage::Tage;
-use crate::traits::{DirDecision, DirectionOverride, DirectionPredictor, TrainingContext};
+use crate::traits::{DirDecision, DirectionPredictor, TrainingContext};
 use zbp_trace::{BranchKind, InstAddr};
 
 /// Data-driven selection and sizing of a direction backend.
@@ -190,9 +190,8 @@ impl DirectionPredictor for PaperDirection {
         let mut taken = bht_dir;
         let mut used_dir = false;
         if entry.use_pht {
-            let idx = self.aux.history.pht_index(DirectionOverride::entries(&self.pht));
-            if let Some(dir) = DirectionOverride::lookup(&self.pht, idx, PathHistory::tag_for(addr))
-            {
+            let idx = self.aux.history.pht_index(self.pht.len());
+            if let Some(dir) = self.pht.lookup(idx, PathHistory::tag_for(addr)) {
                 used_dir = true;
                 if dir != bht_dir {
                     bus.bump(Counter::PhtOverrides);
@@ -209,14 +208,8 @@ impl DirectionPredictor for PaperDirection {
         // most branches train nothing, and the folds are the costliest
         // part of resolution.
         if cx.bht_mispredicted || cx.used_dir {
-            let idx = self.aux.history.pht_index(DirectionOverride::entries(&self.pht));
-            DirectionOverride::train(
-                &mut self.pht,
-                idx,
-                PathHistory::tag_for(cx.addr),
-                cx.taken,
-                cx.bht_mispredicted,
-            );
+            let idx = self.aux.history.pht_index(self.pht.len());
+            self.pht.update(idx, PathHistory::tag_for(cx.addr), cx.taken, cx.bht_mispredicted);
         }
     }
 

@@ -5,12 +5,12 @@
 //! re-index costs, perceived-miss detection, bulk-transfer returns and
 //! the BTBP→BTB1 promotion path. It holds *no* prediction content — the
 //! structures live in [`Structures`] and are threaded into every
-//! dispatch, so the engine reads as pure control logic written against
-//! the behavioural traits in [`crate::traits`].
+//! dispatch, so the engine reads as pure control logic. It calls the
+//! BTB levels directly and reaches the direction backend and the sector
+//! steering through the traits in [`crate::traits`].
 //!
-//! [`SearchEngine::handle`] consumes one
-//! [`PredictorEvent`](crate::events::PredictorEvent) and is the single
-//! entry point; the composition root
+//! [`SearchEngine::handle`] consumes one [`PredictorEvent`] and is the
+//! single entry point; the composition root
 //! ([`BranchPredictor`](crate::hierarchy::BranchPredictor)) wraps it in
 //! typed convenience methods.
 
@@ -28,10 +28,7 @@ use crate::pipeline::TakenClass;
 use crate::statsbus::{Counter, Sample, StatsBus};
 use crate::steering::OrderingTable;
 use crate::tracker::{SearchKind, SearchRequest, TrackerFile};
-use crate::traits::{
-    DirectionPredictor, LevelOneStructure, SecondLevelBtb, SequentialSteering, SteeringPolicy,
-    TrainingContext, VictimPolicy,
-};
+use crate::traits::{DirectionPredictor, SequentialSteering, SteeringPolicy, TrainingContext};
 use crate::transfer::TransferEngine;
 use zbp_trace::addr::{BLOCK_BYTES, LINE_BYTES, SECTOR_BYTES};
 use zbp_trace::{InstAddr, TraceInstr};
@@ -110,7 +107,7 @@ pub struct SearchEngine {
     /// Phantom prefetches in flight: (visible cycle, entry), monotonic.
     phantom_pending: VecDeque<(u64, BtbEntry)>,
     /// Reusable row buffer for bulk-transfer reads: cleared and refilled
-    /// per row by [`SecondLevelBtb::entries_in_line_into`], so the hot
+    /// per row by [`BtbArray::entries_in_line_into`], so the hot
     /// transfer loop performs no per-row heap allocation.
     line_scratch: Vec<BtbEntry>,
     /// Reusable sector-order buffer for [`Self::schedule_request`].
@@ -319,12 +316,11 @@ impl SearchEngine {
         }
         self.advance_transfers(self.pred_cycle, cfg, s, bus);
 
-        let hit = LevelOneStructure::lookup(&s.btb1, addr, self.pred_cycle)
+        let hit = s
+            .btb1
+            .lookup(addr, self.pred_cycle)
             .map(|h| (h, PredSource::Btb1))
-            .or_else(|| {
-                LevelOneStructure::lookup(&s.btbp, addr, self.pred_cycle)
-                    .map(|h| (h, PredSource::Btbp))
-            });
+            .or_else(|| s.btbp.lookup(addr, self.pred_cycle).map(|h| (h, PredSource::Btbp)));
 
         let Some((hit, source)) = hit else {
             // Surprise: this row search found nothing.
@@ -384,20 +380,19 @@ impl SearchEngine {
             PredSource::Btb1 => {
                 bus.bump(Counter::Btb1Predictions);
                 s.btb1.make_mru(addr);
-                if VictimPolicy::refresh_on_use(&cfg.exclusivity) {
+                if cfg.exclusivity.refresh_on_use() {
                     if let Some(btb2) = &mut s.btb2 {
-                        SecondLevelBtb::make_mru(btb2, addr);
+                        btb2.make_mru(addr);
                     }
                 }
             }
             PredSource::Btbp => {
                 bus.bump(Counter::BtbpPredictions);
-                let promoted =
-                    LevelOneStructure::remove(&mut s.btbp, addr).expect("BTBP hit must be present");
+                let promoted = s.btbp.remove(addr).expect("BTBP hit must be present");
                 self.insert_btb1(promoted, self.pred_cycle, cfg, s, bus);
-                if VictimPolicy::refresh_on_use(&cfg.exclusivity) {
+                if cfg.exclusivity.refresh_on_use() {
                     if let Some(btb2) = &mut s.btb2 {
-                        SecondLevelBtb::make_mru(btb2, addr);
+                        btb2.make_mru(addr);
                     }
                 }
             }
@@ -477,8 +472,8 @@ impl SearchEngine {
                     e.target = resolved_target;
                 }
             };
-            if !LevelOneStructure::update_entry(&mut s.btb1, addr, &mut update) {
-                LevelOneStructure::update_entry(&mut s.btbp, addr, &mut update);
+            if !s.btb1.update_entry(addr, &mut update) {
+                s.btbp.update_entry(addr, &mut update);
             }
             // The backend trains against the pre-branch history
             // (`finish_resolve` below has not pushed yet).
@@ -504,7 +499,7 @@ impl SearchEngine {
             self.auditor.note_btbp_install();
             s.btbp.insert(entry, visible);
             if let Some(btb2) = &mut s.btb2 {
-                SecondLevelBtb::insert(btb2, entry, visible);
+                btb2.insert(entry, visible);
             }
             if let Some(phantom) = &mut s.phantom {
                 phantom.record(entry);
@@ -588,19 +583,19 @@ impl SearchEngine {
         transfer.drain_due(cycle, |row| {
             #[cfg(feature = "audit")]
             auditor.note_row_drained();
-            SecondLevelBtb::entries_in_line_into(btb2, row.line, row.visible_at, scratch);
+            btb2.entries_in_line_into(row.line, row.visible_at, scratch);
             bus.observe(Sample::TransferRowEntries, scratch.len() as u64);
             for &e in scratch.iter() {
                 bus.bump(Counter::Btb2EntriesTransferred);
                 #[cfg(feature = "audit")]
                 auditor.note_btbp_install();
                 btbp.insert(e, row.visible_at);
-                if VictimPolicy::invalidate_on_hit(&cfg.exclusivity) {
-                    SecondLevelBtb::remove(btb2, e.addr);
+                if cfg.exclusivity.invalidate_on_hit() {
+                    btb2.remove(e.addr);
                     #[cfg(feature = "audit")]
                     crate::audit::assert_absent(btb2, e.addr, "post-transfer invalidate");
-                } else if VictimPolicy::demote_on_hit(&cfg.exclusivity) {
-                    SecondLevelBtb::make_lru(btb2, e.addr);
+                } else if cfg.exclusivity.demote_on_hit() {
+                    btb2.make_lru(e.addr);
                     // §3.3: the transferred copy is made LRU so later
                     // BTB1 victims replace it first.
                     #[cfg(feature = "audit")]
@@ -682,7 +677,7 @@ impl SearchEngine {
     /// schedules proportionally fewer reads per block.
     fn schedule_request(&mut self, req: SearchRequest, cfg: &PredictorConfig, s: &mut Structures) {
         let Some(btb2) = &s.btb2 else { return };
-        let line_bytes = SecondLevelBtb::row_bytes(btb2);
+        let line_bytes = u64::from(btb2.geometry().line_bytes);
         debug_assert!(line_bytes <= SECTOR_BYTES, "BTB2 rows wider than a sector");
         let lines_per_sector = (SECTOR_BYTES / line_bytes).max(1);
         debug_assert!(lines_per_sector <= 4, "exclude buffer sized for >=32 B rows");
@@ -736,7 +731,7 @@ impl SearchEngine {
         s: &mut Structures,
         bus: &mut StatsBus,
     ) {
-        if let Some(victim) = LevelOneStructure::insert(&mut s.btb1, entry, now) {
+        if let Some(victim) = s.btb1.insert(entry, now) {
             bus.bump(Counter::Btb1Victims);
             #[cfg(feature = "audit")]
             self.auditor.note_btbp_install();
@@ -745,12 +740,12 @@ impl SearchEngine {
                 phantom.record(victim);
             }
             if let Some(btb2) = &mut s.btb2 {
-                VictimPolicy::place_victim(&cfg.exclusivity, btb2, victim, now);
+                cfg.exclusivity.place_victim(btb2, victim, now);
                 // §3.3: an exclusive-policy victim write-back lands in
                 // the BTB2's LRU way and becomes MRU; the inclusive
                 // variant refreshes the resident copy in place instead.
                 #[cfg(feature = "audit")]
-                if !VictimPolicy::refresh_on_use(&cfg.exclusivity) {
+                if !cfg.exclusivity.refresh_on_use() {
                     crate::audit::assert_mru(btb2, victim.addr, "post-victim write-back");
                 }
             }

@@ -11,8 +11,11 @@
 //!   so the BTB2 always holds the most recently learned behaviour.
 //!
 //! The [`ExclusivityPolicy`] enum also provides the true-exclusive and
-//! inclusive alternatives the paper argues against, for the ablation
-//! bench (`ablation_exclusivity`).
+//! inclusive alternatives the paper argues against, for the
+//! `ablation_exclusivity` experiment.
+
+use crate::btb::BtbArray;
+use crate::entry::BtbEntry;
 
 /// How BTB2 content relates to first-level content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,11 +48,29 @@ impl ExclusivityPolicy {
     pub const fn refresh_on_use(self) -> bool {
         matches!(self, ExclusivityPolicy::Inclusive)
     }
+
+    /// Writes a BTB1 victim into the second level.
+    pub fn place_victim(self, btb2: &mut BtbArray, victim: BtbEntry, now: u64) {
+        match self {
+            // Written into the BTB2's LRU way and made MRU.
+            ExclusivityPolicy::SemiExclusive | ExclusivityPolicy::TrueExclusive => {
+                btb2.insert(victim, now);
+            }
+            // Refresh the existing copy in place.
+            ExclusivityPolicy::Inclusive => {
+                if !btb2.update_entry(victim.addr, |e| *e = victim) {
+                    btb2.insert(victim, now);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::btb::BtbGeometry;
+    use zbp_trace::{BranchKind, InstAddr};
 
     #[test]
     fn semi_exclusive_demotes_but_keeps_hits() {
@@ -77,6 +98,27 @@ mod tests {
     #[test]
     fn default_matches_shipped_design() {
         assert_eq!(ExclusivityPolicy::default(), ExclusivityPolicy::SemiExclusive);
+    }
+
+    #[test]
+    fn place_victim_routes_per_exclusivity() {
+        let mut btb2 = BtbArray::new(BtbGeometry::zec12_btb2());
+        let victim = BtbEntry::surprise_install(
+            InstAddr::new(0x1000),
+            InstAddr::new(0x5000),
+            BranchKind::Conditional,
+            true,
+        );
+        ExclusivityPolicy::SemiExclusive.place_victim(&mut btb2, victim, 0);
+        assert!(btb2.lookup(victim.addr, u64::MAX).is_some());
+        // Inclusive refreshes the stored copy in place instead of
+        // consuming another way.
+        let mut updated = victim;
+        updated.target = InstAddr::new(0x9999);
+        ExclusivityPolicy::Inclusive.place_victim(&mut btb2, updated, 0);
+        let hit = btb2.lookup(victim.addr, u64::MAX).unwrap();
+        assert_eq!(hit.entry.target, InstAddr::new(0x9999));
+        assert_eq!(btb2.occupancy(), 1);
     }
 }
 

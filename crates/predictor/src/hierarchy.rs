@@ -1,9 +1,8 @@
 //! The complete two-level bulk preload branch predictor.
 //!
 //! [`BranchPredictor`] is the composition root: it owns the
-//! [`SearchEngine`](crate::engine::SearchEngine) (control flow + clock),
-//! the [`Structures`](crate::engine::Structures) of Figure 1 (content)
-//! and the [`StatsBus`] (counters), and dispatches
+//! [`SearchEngine`] (control flow + clock), the [`Structures`] of
+//! Figure 1 (content) and the [`StatsBus`] (counters), and dispatches
 //! [`PredictorEvent`]s between them. The trace simulator drives it with
 //! these events — via [`BranchPredictor::handle`] directly, or through
 //! the typed convenience wrappers:

@@ -18,8 +18,8 @@
 //! * a trigger hit returns the group's entries for injection into the
 //!   BTBP, one per cycle after the latency.
 //!
-//! The `comparison_phantom` bench pits this against the paper's design
-//! at matched metadata capacity.
+//! The `comparison_phantom` experiment pits this against the paper's
+//! design at matched metadata capacity.
 
 use crate::entry::BtbEntry;
 use zbp_trace::InstAddr;

@@ -1,151 +1,26 @@
 //! Behavioural traits of the prediction structures.
 //!
-//! The [`SearchEngine`](crate::engine::SearchEngine) is written against
-//! these traits rather than the concrete structure types, so alternative
-//! backends (a different BTB2 geometry, a new steering heuristic, an
-//! experimental exclusivity protocol) plug in without touching the
-//! engine's control flow:
+//! Each trait here has more than one implementor chosen at run time:
 //!
-//! * [`LevelOneStructure`] — the synchronous, per-lookup structures the
-//!   engine indexes every row search (BTB1 and BTBP);
-//! * [`SecondLevelBtb`] — the bulk second level read a row at a time by
-//!   the transfer engine;
 //! * [`DirectionPredictor`] — the direction-prediction backend deciding
 //!   each first-level hit's direction and target override (the paper's
 //!   PHT/CTB stack, or an alternative from [`crate::direction`]);
-//! * [`DirectionOverride`] — the tagged, path-indexed auxiliary
-//!   predictors layered over a first-level hit (PHT and CTB);
 //! * [`SteeringPolicy`] — how a full bulk search orders its 32 sectors
 //!   ([`OrderingTable`] when steering is on, [`SequentialSteering`]
-//!   otherwise);
-//! * [`VictimPolicy`] — how BTB1 victims and transferred hits move
-//!   between the levels ([`ExclusivityPolicy`]).
+//!   otherwise).
 //!
-//! Each trait is implemented by its existing structure module; the
-//! default implementations stay the single source of behaviour.
+//! The BTB levels and the §3.3 exclusivity policy have one
+//! implementation each, so the engine calls
+//! [`BtbArray`](crate::btb::BtbArray) and
+//! [`ExclusivityPolicy`](crate::exclusive::ExclusivityPolicy) directly.
 
-use crate::btb::{BtbArray, Hit};
-use crate::ctb::Ctb;
 use crate::direction::AuxStack;
 use crate::entry::BtbEntry;
-use crate::exclusive::ExclusivityPolicy;
 use crate::history::PathHistory;
-use crate::pht::Pht;
 use crate::statsbus::{Counter, StatsBus};
 use crate::steering::OrderingTable;
 use zbp_trace::addr::SECTORS_PER_QUARTILE;
 use zbp_trace::{BranchKind, InstAddr};
-
-/// A first-level structure the search engine indexes synchronously on
-/// every row search (the BTB1 and the BTBP).
-pub trait LevelOneStructure {
-    /// Looks up `addr` among entries visible by `now`.
-    fn lookup(&self, addr: InstAddr, now: u64) -> Option<Hit>;
-    /// Inserts an entry visible from `visible_at`, returning any victim.
-    fn insert(&mut self, entry: BtbEntry, visible_at: u64) -> Option<BtbEntry>;
-    /// Removes and returns the entry for `addr`.
-    fn remove(&mut self, addr: InstAddr) -> Option<BtbEntry>;
-    /// Promotes `addr` to most recently used in its row.
-    fn make_mru(&mut self, addr: InstAddr);
-    /// Applies `f` to the entry for `addr` in place; `true` on hit.
-    fn update_entry(&mut self, addr: InstAddr, f: &mut dyn FnMut(&mut BtbEntry)) -> bool;
-    /// Entries currently stored.
-    fn occupancy(&self) -> usize;
-}
-
-impl LevelOneStructure for BtbArray {
-    fn lookup(&self, addr: InstAddr, now: u64) -> Option<Hit> {
-        BtbArray::lookup(self, addr, now)
-    }
-
-    fn insert(&mut self, entry: BtbEntry, visible_at: u64) -> Option<BtbEntry> {
-        BtbArray::insert(self, entry, visible_at)
-    }
-
-    fn remove(&mut self, addr: InstAddr) -> Option<BtbEntry> {
-        BtbArray::remove(self, addr)
-    }
-
-    fn make_mru(&mut self, addr: InstAddr) {
-        BtbArray::make_mru(self, addr);
-    }
-
-    fn update_entry(&mut self, addr: InstAddr, f: &mut dyn FnMut(&mut BtbEntry)) -> bool {
-        BtbArray::update_entry(self, addr, |e| f(e))
-    }
-
-    fn occupancy(&self) -> usize {
-        BtbArray::occupancy(self)
-    }
-}
-
-/// The bulk second level: never predicts directly, read a row at a time
-/// by the transfer engine and written by surprise installs and victims.
-pub trait SecondLevelBtb {
-    /// Looks up `addr` among entries visible by `now` (diagnostics and
-    /// inclusive-policy refreshes).
-    fn lookup(&self, addr: InstAddr, now: u64) -> Option<Hit>;
-    /// Inserts an entry visible from `visible_at`, returning any victim.
-    fn insert(&mut self, entry: BtbEntry, visible_at: u64) -> Option<BtbEntry>;
-    /// Removes and returns the entry for `addr` (true exclusivity).
-    fn remove(&mut self, addr: InstAddr) -> Option<BtbEntry>;
-    /// Promotes `addr` to most recently used in its row.
-    fn make_mru(&mut self, addr: InstAddr);
-    /// Demotes `addr` to least recently used (semi-exclusive hits).
-    fn make_lru(&mut self, addr: InstAddr);
-    /// Applies `f` to the entry for `addr` in place; `true` on hit.
-    fn update_entry(&mut self, addr: InstAddr, f: &mut dyn FnMut(&mut BtbEntry)) -> bool;
-    /// One bulk-transfer row read: clears `out` and fills it with all
-    /// entries of row `line` visible by `now`, in recency order. The
-    /// transfer loop hands the same scratch buffer to every row, so a
-    /// backend must not allocate here beyond growing `out`.
-    fn entries_in_line_into(&self, line: u64, now: u64, out: &mut Vec<BtbEntry>);
-    /// Allocating convenience wrapper over
-    /// [`entries_in_line_into`](SecondLevelBtb::entries_in_line_into)
-    /// (diagnostics and tests); the row-filtering logic lives only there.
-    fn entries_in_line(&self, line: u64, now: u64) -> Vec<BtbEntry> {
-        let mut out = Vec::new();
-        self.entries_in_line_into(line, now, &mut out);
-        out
-    }
-    /// Width of one transfer row in bytes (the §6 wide-row studies
-    /// schedule proportionally fewer reads per block).
-    fn row_bytes(&self) -> u64;
-}
-
-impl SecondLevelBtb for BtbArray {
-    fn lookup(&self, addr: InstAddr, now: u64) -> Option<Hit> {
-        BtbArray::lookup(self, addr, now)
-    }
-
-    fn insert(&mut self, entry: BtbEntry, visible_at: u64) -> Option<BtbEntry> {
-        BtbArray::insert(self, entry, visible_at)
-    }
-
-    fn remove(&mut self, addr: InstAddr) -> Option<BtbEntry> {
-        BtbArray::remove(self, addr)
-    }
-
-    fn make_mru(&mut self, addr: InstAddr) {
-        BtbArray::make_mru(self, addr);
-    }
-
-    fn make_lru(&mut self, addr: InstAddr) {
-        BtbArray::make_lru(self, addr);
-    }
-
-    fn update_entry(&mut self, addr: InstAddr, f: &mut dyn FnMut(&mut BtbEntry)) -> bool {
-        BtbArray::update_entry(self, addr, |e| f(e))
-    }
-
-    fn entries_in_line_into(&self, line: u64, now: u64, out: &mut Vec<BtbEntry>) {
-        BtbArray::entries_in_line_into(self, line, now, out);
-    }
-
-    fn row_bytes(&self) -> u64 {
-        u64::from(self.geometry().line_bytes)
-    }
-}
 
 /// A direction backend's verdict for one first-level hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,11 +61,11 @@ pub struct TrainingContext {
 ///
 /// The search engine owns search control, BTB content and the
 /// surprise/install paths; the backend owns everything that decides and
-/// trains a *direction*. Every backend embeds an
-/// [`AuxStack`](crate::direction::AuxStack) — CTB, surprise BHT and
-/// global path history — exposed through [`Self::aux`], which lets the
-/// shared surprise-guess and target-override behaviour live here as
-/// provided methods while backends differ only in direction logic.
+/// trains a *direction*. Every backend embeds an [`AuxStack`] — CTB,
+/// surprise BHT and global path history — exposed through
+/// [`Self::aux`], which lets the shared surprise-guess and
+/// target-override behaviour live here as provided methods while
+/// backends differ only in direction logic.
 ///
 /// Call protocol per branch (enforced by the engine): `static_guess`
 /// and, on a first-level hit, `predict` and `target_override` at
@@ -244,8 +119,8 @@ pub trait DirectionPredictor {
         let mut used_ctb = false;
         if entry.use_ctb {
             let aux = self.aux();
-            let idx = aux.history.ctb_index(DirectionOverride::entries(&aux.ctb));
-            if let Some(t) = DirectionOverride::lookup(&aux.ctb, idx, PathHistory::tag_for(addr)) {
+            let idx = aux.history.ctb_index(aux.ctb.len());
+            if let Some(t) = aux.ctb.lookup(idx, PathHistory::tag_for(addr)) {
                 used_ctb = true;
                 if t != entry.target {
                     bus.bump(Counter::CtbOverrides);
@@ -261,63 +136,9 @@ pub trait DirectionPredictor {
     fn train_target(&mut self, cx: &TrainingContext) {
         if cx.taken && (cx.target_mispredicted || cx.used_ctb) && cx.kind.has_changing_target() {
             let aux = self.aux_mut();
-            let idx = aux.history.ctb_index(DirectionOverride::entries(&aux.ctb));
-            DirectionOverride::train(
-                &mut aux.ctb,
-                idx,
-                PathHistory::tag_for(cx.addr),
-                cx.target,
-                false,
-            );
+            let idx = aux.history.ctb_index(aux.ctb.len());
+            aux.ctb.update(idx, PathHistory::tag_for(cx.addr), cx.target);
         }
-    }
-}
-
-/// A tagged, path-indexed predictor that can override one field of a
-/// first-level hit (the PHT overrides direction, the CTB the target).
-pub trait DirectionOverride {
-    /// The overriding value: `bool` for direction, [`InstAddr`] for
-    /// targets.
-    type Value: Copy + PartialEq;
-
-    /// The override for `(index, tag)`, if a tagged entry matches.
-    fn lookup(&self, index: usize, tag: u16) -> Option<Self::Value>;
-    /// Trains `(index, tag)` toward `value`; `allocate` requests a new
-    /// entry on a tag miss (set when the base predictor mispredicted).
-    fn train(&mut self, index: usize, tag: u16, value: Self::Value, allocate: bool);
-    /// Number of entries (the index modulus).
-    fn entries(&self) -> usize;
-}
-
-impl DirectionOverride for Pht {
-    type Value = bool;
-
-    fn lookup(&self, index: usize, tag: u16) -> Option<bool> {
-        Pht::lookup(self, index, tag)
-    }
-
-    fn train(&mut self, index: usize, tag: u16, value: bool, allocate: bool) {
-        Pht::update(self, index, tag, value, allocate);
-    }
-
-    fn entries(&self) -> usize {
-        self.len()
-    }
-}
-
-impl DirectionOverride for Ctb {
-    type Value = InstAddr;
-
-    fn lookup(&self, index: usize, tag: u16) -> Option<InstAddr> {
-        Ctb::lookup(self, index, tag)
-    }
-
-    fn train(&mut self, index: usize, tag: u16, value: InstAddr, _allocate: bool) {
-        Ctb::update(self, index, tag, value);
-    }
-
-    fn entries(&self) -> usize {
-        self.len()
     }
 }
 
@@ -355,63 +176,9 @@ impl SteeringPolicy for SequentialSteering {
     }
 }
 
-/// How entries move between the levels on victimization and transfer
-/// (§3.3 content management).
-pub trait VictimPolicy {
-    /// Whether a first-level prediction refreshes (makes MRU) the BTB2
-    /// copy.
-    fn refresh_on_use(&self) -> bool;
-    /// Whether a BTB2 hit transferred to the BTBP is invalidated.
-    fn invalidate_on_hit(&self) -> bool;
-    /// Whether a BTB2 hit transferred to the BTBP is made LRU.
-    fn demote_on_hit(&self) -> bool;
-    /// Writes a BTB1 victim into the second level.
-    fn place_victim(&self, btb2: &mut dyn SecondLevelBtb, victim: BtbEntry, now: u64);
-}
-
-impl VictimPolicy for ExclusivityPolicy {
-    fn refresh_on_use(&self) -> bool {
-        ExclusivityPolicy::refresh_on_use(*self)
-    }
-
-    fn invalidate_on_hit(&self) -> bool {
-        ExclusivityPolicy::invalidate_on_hit(*self)
-    }
-
-    fn demote_on_hit(&self) -> bool {
-        ExclusivityPolicy::demote_on_hit(*self)
-    }
-
-    fn place_victim(&self, btb2: &mut dyn SecondLevelBtb, victim: BtbEntry, now: u64) {
-        match self {
-            // Written into the BTB2's LRU way and made MRU.
-            ExclusivityPolicy::SemiExclusive | ExclusivityPolicy::TrueExclusive => {
-                btb2.insert(victim, now);
-            }
-            // Refresh the existing copy in place.
-            ExclusivityPolicy::Inclusive => {
-                if !btb2.update_entry(victim.addr, &mut |e| *e = victim) {
-                    btb2.insert(victim, now);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::btb::BtbGeometry;
-    use zbp_trace::BranchKind;
-
-    fn entry(addr: u64) -> BtbEntry {
-        BtbEntry::surprise_install(
-            InstAddr::new(addr),
-            InstAddr::new(addr ^ 0x4000),
-            BranchKind::Conditional,
-            true,
-        )
-    }
 
     #[test]
     fn sequential_steering_starts_at_the_demand_quartile() {
@@ -421,34 +188,5 @@ mod tests {
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..32).collect::<Vec<u32>>(), "every sector exactly once");
-    }
-
-    #[test]
-    fn victim_policy_object_routes_per_exclusivity() {
-        let mut btb2 = BtbArray::new(BtbGeometry::zec12_btb2());
-        let victim = entry(0x1000);
-        ExclusivityPolicy::SemiExclusive.place_victim(&mut btb2, victim, 0);
-        assert!(SecondLevelBtb::lookup(&btb2, victim.addr, u64::MAX).is_some());
-        // Inclusive refreshes the stored copy in place instead of
-        // consuming another way.
-        let mut updated = victim;
-        updated.target = InstAddr::new(0x9999);
-        ExclusivityPolicy::Inclusive.place_victim(&mut btb2, updated, 0);
-        let hit = SecondLevelBtb::lookup(&btb2, victim.addr, u64::MAX).unwrap();
-        assert_eq!(hit.entry.target, InstAddr::new(0x9999));
-        assert_eq!(SecondLevelBtb::row_bytes(&btb2), u64::from(btb2.geometry().line_bytes));
-    }
-
-    #[test]
-    fn level_one_trait_mirrors_inherent_behaviour() {
-        let mut btb = BtbArray::new(BtbGeometry::zec12_btbp());
-        let e = entry(0x2000);
-        assert!(LevelOneStructure::insert(&mut btb, e, 0).is_none());
-        assert!(LevelOneStructure::lookup(&btb, e.addr, 1).is_some());
-        let mut seen = false;
-        LevelOneStructure::update_entry(&mut btb, e.addr, &mut |_| seen = true);
-        assert!(seen);
-        assert_eq!(LevelOneStructure::occupancy(&btb), 1);
-        assert_eq!(LevelOneStructure::remove(&mut btb, e.addr).map(|v| v.addr), Some(e.addr));
     }
 }

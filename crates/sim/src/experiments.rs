@@ -2,20 +2,16 @@
 //!
 //! Each paper table/figure is *declared* in [`crate::registry`] as an
 //! [`crate::registry::ExperimentSpec`] (workloads × configurations ×
-//! post-processing); this module owns the typed row structures those
-//! experiments produce and the grid→rows post-processing functions the
-//! registry applies. The classic one-call-per-figure functions
-//! ([`figure2`], [`table4`], …) remain as thin typed wrappers — they
-//! build the same grid through [`SimSession`] and apply the same
-//! post-processing, so tests and library users keep a direct API while
-//! the CLI and bench targets go through the registry (which adds cell
-//! caching, manifests and artifact output on top).
+//! post-processing), and running a spec is the one way to run an
+//! experiment. This module owns what the specs are built from: the run
+//! options, the configuration-variant builders, the typed row
+//! structures, and the grid→rows post-processing functions the registry
+//! applies. Callers decode a run's `data` back into these rows with
+//! [`zbp_support::json::FromJson`].
 
 use crate::config::SimConfig;
-use crate::parallel::par_map;
 use crate::report::ImprovementRow;
 use crate::session::{SessionGrid, SimSession};
-use crate::sweep::{sweep, SweepPoint};
 use std::path::PathBuf;
 use std::sync::Arc;
 use zbp_predictor::exclusive::ExclusivityPolicy;
@@ -38,7 +34,7 @@ pub struct ExperimentOptions {
     /// machine parallelism).
     pub workers: Option<usize>,
     /// Cell-cache directory override (`None` = the front end's default,
-    /// `results/cache/` for the CLI and bench targets).
+    /// `results/cache/` for the CLI).
     pub cache_dir: Option<PathBuf>,
     /// Cap on configuration columns per decode-once lane group (`None`
     /// = every column of a grid row replays in one group; `1` =
@@ -159,13 +155,6 @@ impl ExperimentOptions {
         Ok(o)
     }
 
-    /// [`Self::from_env`] for contexts without error plumbing (bench
-    /// targets, tests): panics with the parse error instead of running
-    /// the wrong experiment.
-    pub fn from_env_or_panic() -> Self {
-        Self::from_env().unwrap_or_else(|e| panic!("invalid experiment environment: {e}"))
-    }
-
     /// Effective length for a profile.
     pub fn len_for(&self, p: &WorkloadProfile) -> u64 {
         self.len.map_or(p.default_len, |l| l.min(p.default_len))
@@ -210,16 +199,6 @@ pub fn fig2_rows(grid: &SessionGrid) -> Vec<ImprovementRow> {
         .collect()
 }
 
-/// Figure 2: per-trace CPI improvement of configurations 2 and 3 over
-/// configuration 1, plus BTB2 effectiveness.
-pub fn figure2(opts: &ExperimentOptions) -> Vec<ImprovementRow> {
-    let grid = SimSession::from_options(opts)
-        .workloads(WorkloadProfile::all_table4())
-        .configs(SimConfig::table3())
-        .run();
-    fig2_rows(&grid)
-}
-
 // ---------------------------------------------------------------------------
 // Figure 3
 // ---------------------------------------------------------------------------
@@ -241,17 +220,6 @@ pub fn fig3_rows(grid: &SessionGrid) -> Vec<Figure3Row> {
         .iter()
         .map(|w| Figure3Row { workload: w.clone(), improvement: grid.improvement(w, btb2, base) })
         .collect()
-}
-
-/// Figure 3: system-level benefit of the BTB2 on the two workloads
-/// measured on zEC12 hardware, approximated in simulation (the 4-core
-/// Web CICS/DB2 run becomes a 4-context time-sliced simulation).
-pub fn figure3(opts: &ExperimentOptions) -> Vec<Figure3Row> {
-    let grid = SimSession::from_options(opts)
-        .workloads(WorkloadProfile::hardware_pair())
-        .configs([SimConfig::no_btb2(), SimConfig::btb2_enabled()])
-        .run();
-    fig3_rows(&grid)
 }
 
 // ---------------------------------------------------------------------------
@@ -315,16 +283,6 @@ pub fn fig4_result(grid: &SessionGrid) -> Figure4Result {
     }
 }
 
-/// Figure 4: effect of the BTB2 on bad branch outcomes for the z/OS
-/// DayTrader DBServ workload.
-pub fn figure4(opts: &ExperimentOptions) -> Figure4Result {
-    let grid = SimSession::from_options(opts)
-        .workload(WorkloadProfile::daytrader_dbserv())
-        .configs([SimConfig::no_btb2(), SimConfig::btb2_enabled()])
-        .run();
-    fig4_result(&grid)
-}
-
 // ---------------------------------------------------------------------------
 // Figures 5, 6, 7 (sweeps)
 // ---------------------------------------------------------------------------
@@ -338,12 +296,6 @@ pub fn fig5_variants(sizes: &[u32]) -> Vec<(String, PredictorConfig)> {
             (label, PredictorConfig::zec12().with_btb2_entries(s))
         })
         .collect()
-}
-
-/// Figure 5: average benefit of the BTB2 at various capacities.
-/// `entries == 0` is the disabled baseline (0 % by construction).
-pub fn figure5(opts: &ExperimentOptions, sizes: &[u32]) -> Vec<SweepPoint> {
-    sweep(&fig5_variants(sizes), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 /// Default Figure 5 sizes: 6 k – 96 k entries.
@@ -361,12 +313,6 @@ pub fn fig6_variants(limits: &[u32]) -> Vec<(String, PredictorConfig)> {
         .collect()
 }
 
-/// Figure 6: average benefit under various BTB1-miss definitions
-/// (searches without a prediction before a miss is perceived).
-pub fn figure6(opts: &ExperimentOptions, limits: &[u32]) -> Vec<SweepPoint> {
-    sweep(&fig6_variants(limits), opts.len.unwrap_or(u64::MAX), opts.seed)
-}
-
 /// Default Figure 6 miss-definition sweep.
 pub const FIGURE6_LIMITS: [u32; 6] = [1, 2, 3, 4, 6, 8];
 
@@ -380,11 +326,6 @@ pub fn fig7_variants(counts: &[usize]) -> Vec<(String, PredictorConfig)> {
             (format!("{n} trackers"), cfg)
         })
         .collect()
-}
-
-/// Figure 7: average benefit with various BTB2 search tracker counts.
-pub fn figure7(opts: &ExperimentOptions, counts: &[usize]) -> Vec<SweepPoint> {
-    sweep(&fig7_variants(counts), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 /// Default Figure 7 tracker sweep.
@@ -429,20 +370,6 @@ pub fn table4_rows(sources: &[WorkloadSource], stats: &[TraceStats]) -> Vec<Tabl
         .collect()
 }
 
-/// Table 4: validates the synthesized workloads' branch footprints
-/// against the published counts.
-pub fn table4(opts: &ExperimentOptions) -> Vec<Table4Row> {
-    let sources: Vec<WorkloadSource> = if opts.sources.is_empty() {
-        WorkloadProfile::all_table4().into_iter().map(Into::into).collect()
-    } else {
-        opts.sources.clone()
-    };
-    let stats = par_map(&sources, |s| {
-        TraceStats::collect(&s.build_with_len(opts.seed, opts.len_for_source(s)))
-    });
-    table4_rows(&sources, &stats)
-}
-
 // ---------------------------------------------------------------------------
 // Ablations (§3.3, §3.5, §3.7 design choices)
 // ---------------------------------------------------------------------------
@@ -463,11 +390,6 @@ pub fn exclusivity_variants() -> Vec<(String, PredictorConfig)> {
     .collect()
 }
 
-/// Ablation A: exclusivity policies of §3.3.
-pub fn ablation_exclusivity(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&exclusivity_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
-}
-
 /// Ablation-B sweep variants: §3.7 transfer steering on vs off.
 pub fn steering_variants() -> Vec<(String, PredictorConfig)> {
     [true, false]
@@ -478,11 +400,6 @@ pub fn steering_variants() -> Vec<(String, PredictorConfig)> {
             (if on { "steered" } else { "sequential" }.to_string(), cfg)
         })
         .collect()
-}
-
-/// Ablation B: §3.7 transfer steering on vs off.
-pub fn ablation_steering(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&steering_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 /// Ablation-C sweep variants: §3.5 I-cache-miss filter modes.
@@ -501,11 +418,6 @@ pub fn filter_variants() -> Vec<(String, PredictorConfig)> {
     .collect()
 }
 
-/// Ablation C: §3.5 I-cache-miss filter modes.
-pub fn ablation_filter(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&filter_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
-}
-
 // ---------------------------------------------------------------------------
 // Future work (§6): BTB2 congruence-class span
 // ---------------------------------------------------------------------------
@@ -522,14 +434,6 @@ pub fn congruence_variants(spans: &[u32]) -> Vec<(String, PredictorConfig)> {
             (format!("{span} B rows"), cfg)
         })
         .collect()
-}
-
-/// §6 future-work study: widen the BTB2 congruence class from 32 B to
-/// 64 B / 128 B of instruction space. Wider rows transfer a 4 KB block in
-/// fewer reads (higher bus efficiency) but can overflow when a sequential
-/// code stream holds more branches than one row's associativity.
-pub fn future_congruence(opts: &ExperimentOptions, spans: &[u32]) -> Vec<SweepPoint> {
-    sweep(&congruence_variants(spans), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 /// Default §6 congruence spans.
@@ -556,13 +460,6 @@ pub fn miss_detection_variants() -> Vec<(String, PredictorConfig)> {
     .collect()
 }
 
-/// §6 future-work study: the shipped early/speculative perceived-miss
-/// definition versus the later, less speculative decode-stage definition
-/// (and both combined).
-pub fn future_miss_detection(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&miss_detection_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
-}
-
 /// §6 sweep variants: single vs chained multi-block transfers.
 pub fn multiblock_variants() -> Vec<(String, PredictorConfig)> {
     [false, true]
@@ -573,12 +470,6 @@ pub fn multiblock_variants() -> Vec<(String, PredictorConfig)> {
             (if on { "single + chained block" } else { "single block (shipped)" }.to_string(), cfg)
         })
         .collect()
-}
-
-/// §6 future-work study: chasing one taken-branch target per bulk
-/// transfer into a chained transfer of the target block.
-pub fn future_multiblock(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&multiblock_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 /// §6 sweep variants: SRAM vs eDRAM second-level trade-offs.
@@ -595,13 +486,6 @@ pub fn edram_variants() -> Vec<(String, PredictorConfig)> {
         (name.to_string(), cfg)
     })
     .collect()
-}
-
-/// §6 future-work study: SRAM vs eDRAM second level — same silicon area
-/// buys a denser but slower BTB2. Latency figures are illustrative
-/// (eDRAM ~2-3x the SRAM array latency at ~2-4x the density).
-pub fn future_edram(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&edram_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 // ---------------------------------------------------------------------------
@@ -664,18 +548,6 @@ pub fn wrongpath_rows(grid: &SessionGrid) -> Vec<WrongPathRow> {
         .collect()
 }
 
-/// Ablation D: the paper's model simulates wrong-path execution; this
-/// model approximates its I-cache side (wrong-path lines pollute — and
-/// occasionally accidentally prefetch — the L1I). Measures how much the
-/// BTB2's benefit shifts when wrong-path fetch is modelled.
-pub fn ablation_wrongpath(opts: &ExperimentOptions) -> Vec<WrongPathRow> {
-    let grid = SimSession::from_options(opts)
-        .workloads(WorkloadProfile::all_table4())
-        .configs(wrongpath_configs())
-        .run();
-    wrongpath_rows(&grid)
-}
-
 // ---------------------------------------------------------------------------
 // Comparison baseline: Phantom-BTB (§2 related work)
 // ---------------------------------------------------------------------------
@@ -686,14 +558,6 @@ pub fn phantom_variants() -> Vec<(String, PredictorConfig)> {
         ("bulk preload BTB2 (zEC12)".to_string(), PredictorConfig::zec12()),
         ("phantom BTB (virtualized)".to_string(), PredictorConfig::phantom_btb()),
     ]
-}
-
-/// Comparison against the §2 related work: a Phantom-BTB-style
-/// virtualized second level (temporal-group prefetching out of the L2)
-/// versus the paper's dedicated bulk-preload BTB2, at matched metadata
-/// capacity (24 k entries).
-pub fn comparison_phantom(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&phantom_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 // ---------------------------------------------------------------------------
@@ -862,56 +726,9 @@ pub fn tournament_report(
     TournamentReport { cells, winners, wins, h2p_workload, h2p }
 }
 
-/// The cross-backend direction-predictor tournament: every Table-4
-/// workload under every registered [`SimConfig::direction_backends`]
-/// column, plus the H2P offender breakdown.
-pub fn predictor_tournament(opts: &ExperimentOptions) -> TournamentReport {
-    let sources: Vec<WorkloadSource> = if opts.sources.is_empty() {
-        WorkloadProfile::all_table4().into_iter().map(Into::into).collect()
-    } else {
-        opts.sources.clone()
-    };
-    let configs = SimConfig::direction_backends();
-    let grid =
-        SimSession::from_options(opts).workloads(sources.clone()).configs(configs.clone()).run();
-    tournament_report(&grid, &sources, &configs, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quick() -> ExperimentOptions {
-        ExperimentOptions::quick(20_000, 7)
-    }
-
-    #[test]
-    fn figure2_produces_13_rows() {
-        let rows = figure2(&quick());
-        assert_eq!(rows.len(), 13);
-        for r in &rows {
-            assert!(r.baseline_cpi > 0.0);
-            assert!(r.btb2_cpi > 0.0);
-            assert!(r.large_btb1_cpi > 0.0);
-        }
-    }
-
-    #[test]
-    fn figure4_breakdowns_are_consistent() {
-        let r = figure4(&quick());
-        assert_eq!(r.workload, "Z/OS DayTrader DBServ");
-        assert!(r.without_btb2.total() <= 100.0);
-        assert!(r.with_btb2.total() <= 100.0);
-        assert!(r.without_btb2.total() > 0.0, "short cold runs have bad outcomes");
-    }
-
-    #[test]
-    fn table4_reports_targets() {
-        let rows = table4(&quick());
-        assert_eq!(rows.len(), 13);
-        assert_eq!(rows[0].target_branches, 15_244);
-        assert!(rows.iter().all(|r| r.instructions == 20_000));
-    }
 
     #[test]
     fn options_defaults_and_len_cap() {

@@ -9,12 +9,13 @@
 //! * [`runner::Simulator`] — replay one workload under one configuration;
 //! * [`session::SimSession`] — batch a workload × configuration grid
 //!   through one parallel fan-out and query the results by name;
-//! * [`sweep`] — parameter sweeps with parallel execution;
-//! * [`experiments`] — typed results + post-processing for every paper
-//!   table/figure, with direct typed wrappers for library users;
-//! * [`registry`] — the declarative experiment registry the CLI and
-//!   bench targets resolve experiments through, with provenance
-//!   manifests;
+//! * [`sweep`] — the column layout and post-processing of parameter
+//!   sweeps;
+//! * [`experiments`] — run options, configuration variants, typed rows
+//!   and post-processing for every paper table/figure;
+//! * [`registry`] — the declarative experiment registry, the one way to
+//!   run an experiment: the CLI, `zbp-serve` and the tests resolve
+//!   experiments through it, with provenance manifests;
 //! * [`cache`] — the content-addressed per-cell result cache that makes
 //!   interrupted grid runs resumable;
 //! * [`simpoint`] — SimPoint-style phase selection: cluster BBV

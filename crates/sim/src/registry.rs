@@ -4,11 +4,12 @@
 //! and comparison studies — is registered here as an
 //! [`ExperimentSpec`]: which workloads it runs, which configuration
 //! columns it sweeps, and which post-processing turns the resulting
-//! grid into typed rows, a pretty table, and a JSON artifact. Front
-//! ends (the CLI's `experiment` subcommands and the bench targets)
-//! resolve experiments by id through [`find`] instead of matching on
-//! figure names, so adding a comparison point is a registry entry, not
-//! another driver function.
+//! grid into typed rows, a pretty table, and a JSON artifact. Running a
+//! spec is the only way to run an experiment: the front ends (the CLI's
+//! `experiment` subcommands and `zbp-serve`) and the tests resolve
+//! experiments by id through [`find`] instead of matching on figure
+//! names, so adding a comparison point is a registry entry, not another
+//! driver function.
 //!
 //! Running a spec produces an [`ExperimentRun`]: the post-processed
 //! data plus a provenance [`Manifest`] (experiment id, schema version,

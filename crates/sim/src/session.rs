@@ -144,7 +144,8 @@ impl SimSession {
         self
     }
 
-    /// Adds one workload row: a synthetic [`WorkloadProfile`] or any
+    /// Adds one workload row: a synthetic
+    /// [`WorkloadProfile`](zbp_trace::profile::WorkloadProfile) or any
     /// other [`WorkloadSource`].
     #[must_use]
     pub fn workload(mut self, source: impl Into<WorkloadSource>) -> Self {

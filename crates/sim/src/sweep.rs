@@ -1,4 +1,6 @@
-//! Parameter sweeps over the 13 Table-4 workloads.
+//! Parameter sweeps: the column layout and post-processing shared by
+//! the registry's sweep specs (Figures 5, 6 and 7, the ablations and the
+//! future-work studies).
 //!
 //! Each sweep point is a predictor-configuration variant; its score is
 //! the mean CPI improvement over the no-BTB2 baseline across all
@@ -6,9 +8,8 @@
 
 use crate::config::SimConfig;
 use crate::report::mean;
-use crate::session::{SessionGrid, SimSession};
+use crate::session::SessionGrid;
 use zbp_predictor::PredictorConfig;
-use zbp_trace::profile::WorkloadProfile;
 
 /// Result of one sweep point.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,33 +20,6 @@ pub struct SweepPoint {
     pub avg_improvement: f64,
     /// Per-workload improvements (%), in Table-4 order.
     pub per_trace: Vec<(String, f64)>,
-}
-
-/// Runs a sweep: for each (label, variant), the mean CPI improvement over
-/// the shared no-BTB2 baseline across the Table-4 workloads.
-///
-/// `len` caps the per-trace dynamic instruction count; `seed` controls
-/// workload synthesis.
-pub fn sweep(variants: &[(String, PredictorConfig)], len: u64, seed: u64) -> Vec<SweepPoint> {
-    sweep_profiles(&WorkloadProfile::all_table4(), variants, len, seed)
-}
-
-/// [`sweep`] over an explicit set of workload profiles.
-pub fn sweep_profiles(
-    profiles: &[WorkloadProfile],
-    variants: &[(String, PredictorConfig)],
-    len: u64,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    // One grid: the shared no-BTB2 baseline plus every variant, so all
-    // (workload, variant) cells run in a single parallel batch.
-    let grid = SimSession::new()
-        .seed(seed)
-        .max_len(len)
-        .workloads(profiles.to_vec())
-        .configs(sweep_configs(variants))
-        .run();
-    points_from_grid(&grid)
 }
 
 /// Builds the configuration columns of a sweep grid: the shared no-BTB2
@@ -79,20 +53,24 @@ pub fn points_from_grid(grid: &SessionGrid) -> Vec<SweepPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fig5_variants;
+    use crate::session::SimSession;
+    use zbp_trace::profile::WorkloadProfile;
 
     #[test]
-    fn sweep_runs_each_variant_over_each_profile() {
-        let profiles = vec![WorkloadProfile::tpf_airline(), WorkloadProfile::zlinux_informix()];
-        let variants = vec![
-            ("off".to_string(), PredictorConfig::no_btb2()),
-            ("on".to_string(), PredictorConfig::zec12()),
-        ];
-        let points = sweep_profiles(&profiles, &variants, 25_000, 3);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].per_trace.len(), 2);
-        // The "off" variant IS the baseline: ~0% improvement.
-        assert!(points[0].avg_improvement.abs() < 1e-9, "off vs off must be 0");
-        assert_eq!(points[1].label, "on");
+    fn a_disabled_fig5_column_reads_zero() {
+        let grid = SimSession::new()
+            .seed(3)
+            .max_len(15_000)
+            .workloads(vec![WorkloadProfile::tpf_airline(), WorkloadProfile::zlinux_informix()])
+            .configs(sweep_configs(&fig5_variants(&[0, 12 * 1024])))
+            .run();
+        let points = points_from_grid(&grid);
+        let labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
+        assert_eq!(labels, ["disabled", "12k"]);
+        assert!(points.iter().all(|p| p.per_trace.len() == 2));
+        // The disabled column IS the baseline: exactly 0% improvement.
+        assert!(points[0].avg_improvement.abs() < 1e-9, "disabled == baseline");
     }
 }
 

@@ -1,12 +1,12 @@
 //! First-class workload identity: synthetic profile or external trace.
 //!
 //! Every layer above this crate — the trace store, `SimSession`, the
-//! experiment registry's cell keys and manifests, the CLI, the bench
-//! harness — used to assume a workload *is* a synthetic
-//! `(profile, seed, len)` triple. [`WorkloadSource`] makes the identity
-//! explicit: a workload is either a [`WorkloadProfile`] to synthesize
-//! or an ingested [`ExternalTrace`] file, and every keyed structure
-//! derives its identity from [`WorkloadSource::key_json`].
+//! experiment registry's cell keys and manifests, the CLI — used to
+//! assume a workload *is* a synthetic `(profile, seed, len)` triple.
+//! [`WorkloadSource`] makes the identity explicit: a workload is either
+//! a [`WorkloadProfile`] to synthesize or an ingested [`ExternalTrace`]
+//! file, and every keyed structure derives its identity from
+//! [`WorkloadSource::key_json`].
 //!
 //! Key compatibility is load-bearing: for synthetic sources,
 //! `key_json()` is byte-for-byte the profile's JSON rendering — exactly

@@ -38,7 +38,7 @@ pub struct UarchConfig {
     /// Model wrong-path instruction fetch: mispredicted branches pull the
     /// wrong path's cache lines into the L1I until resolution (the
     /// paper's model "simulates what the hardware would encounter down
-    /// this path"). Off by default; the `ablation_wrongpath` bench
+    /// this path"). Off by default; the `ablation_wrongpath` experiment
     /// studies its effect.
     pub wrong_path_fetch: bool,
     /// Wrong-path lines fetched per misprediction when
