@@ -5,8 +5,9 @@
 //! close` on every response), request line + headers + an optional
 //! `Content-Length` body on the way in, and either a complete response
 //! or a close-delimited NDJSON stream on the way out. That subset is
-//! exactly what `curl`, CI smoke scripts and the bench harness need —
-//! there is deliberately no keep-alive, chunked encoding or TLS.
+//! exactly what `curl`, CI smoke scripts and the `perf/` benchmark's
+//! load generator need — there is deliberately no keep-alive, chunked
+//! encoding or TLS.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;

@@ -3,8 +3,7 @@
 //!
 //! The histograms reuse [`zbp_predictor::statsbus::Histogram`] — the
 //! same log₂-bucketed shape the pipeline's `StatsBus` samples use — so
-//! serve latencies and simulator quantities read identically in
-//! dashboards and the bench harness.
+//! serve latencies and simulator quantities share one bucketing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -23,8 +22,15 @@ pub struct ServeMetrics {
     pub active_requests: AtomicU64,
     /// Cells requested across all `/run` calls (grid cells only).
     pub cells_requested: AtomicU64,
-    /// Cells answered straight from the cell cache.
+    /// Cells answered straight from the cell cache, the daemon's memo
+    /// of it included.
     pub cache_hits: AtomicU64,
+    /// Of `cache_hits`, the cells the memo answered without a read.
+    pub memo_hits: AtomicU64,
+    /// Cells the memo holds now.
+    pub memo_entries: AtomicU64,
+    /// Bytes the memo's entries count against its budget now.
+    pub memo_bytes: AtomicU64,
     /// Cells computed by this daemon's worker pool.
     pub cells_computed: AtomicU64,
     /// Cells served by joining another request's in-flight computation.
@@ -69,6 +75,9 @@ impl ServeMetrics {
             ("active_requests".into(), c(&self.active_requests)),
             ("cells_requested".into(), c(&self.cells_requested)),
             ("cache_hits".into(), c(&self.cache_hits)),
+            ("memo_hits".into(), c(&self.memo_hits)),
+            ("memo_entries".into(), c(&self.memo_entries)),
+            ("memo_bytes".into(), c(&self.memo_bytes)),
             ("cells_computed".into(), c(&self.cells_computed)),
             ("dedup_joins".into(), c(&self.dedup_joins)),
             ("claims_lost".into(), c(&self.claims_lost)),

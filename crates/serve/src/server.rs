@@ -3,20 +3,22 @@
 //!
 //! A `/run` request resolves to a registry experiment, enumerates its
 //! grid cells, and serves each cell from the cheapest source available:
-//! the on-disk cell cache (O(lookup)), another request's in-flight
-//! computation (joined via the executor's dedup table), a concurrent
-//! *process's* computation (waited out via the cache's advisory claim
-//! files), or — last — this daemon's worker pool. Progress streams back
-//! as NDJSON events (`plan`, `queued`, `running`, `done`, `error`,
-//! `result`), each `done` carrying the cell's provenance.
+//! the daemon's memo of decoded warm cells (`CellMemo`), the on-disk
+//! cell cache (O(lookup)), another request's in-flight computation
+//! (joined via the executor's dedup table), a concurrent *process's*
+//! computation (waited out via the cache's advisory claim files), or —
+//! last — this daemon's worker pool. Progress streams back as NDJSON
+//! events (`plan`, `queued`, `running`, `done`, `error`, `result`), each
+//! `done` carrying the cell's provenance; a memo hit is a `cache-hit`.
 //!
 //! The final artifact is produced by the registry's own
 //! [`ExperimentSpec::run`] path over the now-warm cache — the gather,
 //! post-processing and manifest code `zbp-cli experiment run` uses — so
 //! a daemon response is bit-identical to a CLI run by construction, not
-//! by reimplementation. The cells the request already read as hits are
-//! handed to that gather ([`ExperimentSpec::run_with_hits`]) so that a
-//! warm request reads each cell once.
+//! by reimplementation. The cells the request already holds as hits are
+//! handed to that gather ([`ExperimentSpec::run_with_hits`]), so a warm
+//! request reads each cell at most once, and not at all once the memo
+//! holds it.
 //!
 //! The accept loop blocks in `accept`. A watcher thread turns the
 //! shutdown flag into one wake-up connection to the listener, so the
@@ -33,12 +35,13 @@ use std::time::{Duration, Instant};
 use zbp_sim::cache::CellCache;
 use zbp_sim::experiments::ExperimentOptions;
 use zbp_sim::registry::{self, ExperimentSpec};
-use zbp_sim::session::{cached_cell, SessionCell};
+use zbp_sim::session::SessionCell;
 use zbp_support::json::Json;
 use zbp_uarch::core::CoreResult;
 
 use crate::executor::{provenance, Admission, Executor, Job, JobCell, SlotView};
 use crate::http::{read_request, respond_json, respond_text, NdjsonStream, Request};
+use crate::memo::{CellMemo, MEMO_BUDGET};
 use crate::metrics::ServeMetrics;
 
 /// How long a `/run` request waits for its cells when the client does
@@ -109,6 +112,8 @@ pub struct ServeState {
     pub base: ExperimentOptions,
     /// The shared on-disk cell cache every request reads and warms.
     pub cache: Arc<CellCache>,
+    /// Decoded warm cells, asked before `cache` by phase 1 of `/run`.
+    pub(crate) memo: CellMemo,
     /// Dedup table + worker pool for cold cells.
     pub executor: Executor,
     /// `/metrics` counters and latency histograms.
@@ -130,6 +135,7 @@ impl ServeState {
         Arc::new(Self {
             base,
             cache: Arc::new(CellCache::at(cache_dir.into())),
+            memo: CellMemo::new(MEMO_BUDGET, Arc::clone(&metrics)),
             executor: Executor::new(pool_workers, Arc::clone(&metrics)),
             metrics,
         })
@@ -393,43 +399,9 @@ fn handle_run(
     }
 }
 
-/// Where a `/run` request's events go. `emit` may hold an event back;
-/// `flush` sends everything emitted so far. The request flushes before
-/// anything that may wait (a pending cell, an inline computation) and
-/// when it ends.
-trait Events {
-    fn emit(&mut self, event: &Json) -> std::io::Result<()>;
-    fn flush(&mut self) -> std::io::Result<()>;
-}
-
-impl Events for NdjsonStream<'_> {
-    fn emit(&mut self, event: &Json) -> std::io::Result<()> {
-        NdjsonStream::emit(self, event);
-        Ok(())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        NdjsonStream::flush(self)
-    }
-}
-
-/// The function sink of [`run_streaming`]: every event is handed over
-/// as it is emitted.
-struct EachEvent<'e>(&'e mut dyn FnMut(&Json) -> std::io::Result<()>);
-
-impl Events for EachEvent<'_> {
-    fn emit(&mut self, event: &Json) -> std::io::Result<()> {
-        (self.0)(event)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Why a `/run` could not complete.
 #[derive(Debug)]
-pub enum RunError {
+enum RunError {
     /// The connection failed (client hung up): nothing more to send.
     Io(std::io::Error),
     /// The request itself failed (timeout, failed cell): reported to
@@ -456,31 +428,21 @@ fn cell_event(kind: &str, cell: &SessionCell, extra: &[(&str, Json)]) -> Json {
     Json::Obj(fields)
 }
 
-/// Serves one `/run` request, emitting NDJSON progress events through
-/// `emit`. Public (with a function sink rather than a socket) so the
-/// bench harness and tests can drive the full request lifecycle
-/// in-process.
+/// Serves one `/run` request, streaming its NDJSON progress events to
+/// `out`, which holds them until the request flushes: before anything
+/// that may wait (a pending cell, an inline computation) and when it
+/// ends.
 ///
 /// # Errors
 ///
 /// [`RunError::Io`] when the client connection fails mid-stream;
 /// [`RunError::Request`] on timeout or a failed cell (already reported
 /// to the client by the caller).
-pub fn run_streaming(
-    state: &Arc<ServeState>,
-    spec: &ExperimentSpec,
-    run: &RunRequest,
-    emit: &mut dyn FnMut(&Json) -> std::io::Result<()>,
-) -> Result<(), RunError> {
-    run_events(state, spec, run, &mut EachEvent(emit))
-}
-
-/// [`run_streaming`] into any [`Events`] sink.
 fn run_events(
     state: &Arc<ServeState>,
     spec: &ExperimentSpec,
     run: &RunRequest,
-    out: &mut dyn Events,
+    out: &mut NdjsonStream<'_>,
 ) -> Result<(), RunError> {
     let mut opts = state.base.clone();
     if run.len.is_some() {
@@ -500,10 +462,10 @@ fn run_events(
             ("event".into(), Json::Str("plan".into())),
             ("experiment".into(), Json::Str(spec.id.into())),
             ("mode".into(), Json::Str("whole".into())),
-        ]))?;
+        ]));
         out.flush()?;
         let result = spec.run(&opts, &state.cache);
-        out.emit(&result_event(&result.artifact(), 0, 0, 0, 0, 0))?;
+        out.emit(&result_event(&result.artifact(), 0, 0, 0, 0, 0));
         out.flush()?;
         return Ok(());
     };
@@ -515,32 +477,30 @@ fn run_events(
         ("mode".into(), Json::Str("grid".into())),
         ("cells".into(), Json::Num(cells.len() as f64)),
         ("rows".into(), Json::Num(cells.iter().map(|c| c.row).max().map_or(0, |r| r + 1) as f64)),
-    ]))?;
+    ]));
     // The plan goes out before phase 1 reads any cell.
     out.flush()?;
     state.metrics.cells_requested.fetch_add(cells.len() as u64, Ordering::Relaxed);
 
-    // Phase 1: serve warm cells immediately; admit cold ones (owner or
-    // join) and group owned cells into per-row lane-batched jobs.
+    // Phase 1: serve warm cells immediately, from the memo or else the
+    // cache; admit cold ones (owner or join) and group owned cells into
+    // per-row lane-batched jobs.
     //
     // An owned cell's inflight entry is only ever removed by the worker
     // that resolves its slot, so every cell admitted as Owner MUST be
-    // submitted — an emit failure (client hangup) stops the admission
-    // loop but still submits the jobs accumulated so far, otherwise the
-    // admitted keys would wedge in the dedup table until restart. (The
-    // daemon's own stream holds phase 1's events, so it learns of a
-    // hangup at the first flush after the jobs are submitted.)
+    // submitted. Phase 1 writes nothing to the client: the stream holds
+    // its events, so a hangup surfaces at the first flush, after the
+    // jobs are submitted.
     let mut hits = 0u64;
-    // The results phase 1 read, handed to the phase-3 gather so that a
-    // warm cell is read once per request.
+    // The results phase 1 holds, handed to the phase-3 gather so that a
+    // warm cell is read at most once per request.
     let mut known_hits: Vec<Option<CoreResult>> = Vec::with_capacity(cells.len());
     let mut pending: Vec<(usize, Arc<crate::executor::CellSlot>, bool, Instant)> = Vec::new();
     let mut row_jobs: std::collections::BTreeMap<usize, Vec<JobCell>> =
         std::collections::BTreeMap::new();
-    let mut hangup: Option<std::io::Error> = None;
     for (idx, cell) in cells.iter().enumerate() {
         let t0 = Instant::now();
-        let hit = cached_cell(&state.cache, &cell.key);
+        let hit = state.memo.cell(&state.cache, &cell.key);
         let event = if hit.is_some() {
             hits += 1;
             state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -565,10 +525,7 @@ fn run_events(
             }
         };
         known_hits.push(hit);
-        if let Err(e) = out.emit(&event) {
-            hangup = Some(e);
-            break;
-        }
+        out.emit(&event);
     }
     for (row, job_cells) in row_jobs {
         state.executor.submit(Job {
@@ -577,9 +534,6 @@ fn run_events(
             row,
             cells: job_cells,
         });
-    }
-    if let Some(e) = hangup {
-        return Err(e.into());
     }
 
     // Phase 2: wait out the pending slots in grid order, streaming each
@@ -601,7 +555,7 @@ fn run_events(
             match &view {
                 SlotView::Queued => {}
                 SlotView::Running => {
-                    out.emit(&cell_event("running", cell, &[]))?;
+                    out.emit(&cell_event("running", cell, &[]));
                     out.flush()?;
                     // Fall through to wait for resolution without
                     // re-emitting on spurious wakeups.
@@ -624,15 +578,11 @@ fn run_events(
                         provenance::CLAIM_WAIT => claim_wait += 1,
                         _ => hits += 1,
                     }
-                    out.emit(&cell_event(
-                        "done",
-                        cell,
-                        &[("provenance", Json::Str(label.into()))],
-                    ))?;
+                    out.emit(&cell_event("done", cell, &[("provenance", Json::Str(label.into()))]));
                     break;
                 }
                 SlotView::Failed(msg) => {
-                    out.emit(&cell_event("error", cell, &[("error", Json::Str(msg.clone()))]))?;
+                    out.emit(&cell_event("error", cell, &[("error", Json::Str(msg.clone()))]));
                     failed = Some(format!("cell {} failed: {msg}", cell.key.digest()));
                     break;
                 }
@@ -654,9 +604,10 @@ fn run_events(
     // Phase 3: assemble the artifact through the registry's own run
     // path over the now-warm cache — the gather, post-processing and
     // manifest code `zbp-cli experiment run` executes, so the response
-    // is bit-identical to a CLI run. The phase-1 hits go in as read;
-    // the gather loads only the cells resolved since (and recomputes
-    // inline, as any run does, a cell whose entry vanished meanwhile).
+    // is bit-identical to a CLI run. The phase-1 hits go in as held;
+    // the gather loads only the cells resolved since, from disk (and
+    // recomputes inline, as any run does, a cell whose entry vanished
+    // meanwhile).
     out.flush()?;
     let result = spec.run_with_hits(&opts, &state.cache, &known_hits);
     out.emit(&result_event(
@@ -666,14 +617,14 @@ fn run_events(
         computed,
         dedup,
         claim_wait,
-    ))?;
+    ));
     out.flush()?;
     Ok(())
 }
 
 fn timeout_error(
     state: &Arc<ServeState>,
-    out: &mut dyn Events,
+    out: &mut NdjsonStream<'_>,
     cell: &SessionCell,
     timeout: Duration,
 ) -> RunError {
@@ -684,7 +635,7 @@ fn timeout_error(
         cell.key.digest()
     );
     state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-    let _ = out.emit(&cell_event("error", cell, &[("error", Json::Str(msg.clone()))]));
+    out.emit(&cell_event("error", cell, &[("error", Json::Str(msg.clone()))]));
     RunError::Request(msg)
 }
 

@@ -344,10 +344,32 @@ fn cold_and_warm_runs_read_each_cell_once() {
     let before = reads();
     let (status, body) = http(server.addr, "POST", "/run", r#"{"experiment":"fig4"}"#);
     assert_eq!(status, 200);
-    assert_eq!(served_count(result_event(&events(&body)), "cache_hits"), cells as f64);
+    let warm = events(&body);
+    assert_eq!(served_count(result_event(&warm), "cache_hits"), cells as f64);
     // Warm: each cell is read while streaming, and the assembly takes
     // those results instead of reading them again.
     assert_eq!(reads() - before, cells);
+    let memo_hits = metric(server.addr, "memo_hits");
+    assert_eq!(memo_hits, 0.0, "the memo fills as the first warm request reads");
+    assert_eq!(metric(server.addr, "memo_entries"), cells as f64);
+
+    // Warm again: the daemon's memo answers every cell, nothing is read,
+    // and to the client each is a cache hit as before.
+    let before = reads();
+    let (status, body) = http(server.addr, "POST", "/run", r#"{"experiment":"fig4"}"#);
+    assert_eq!(status, 200);
+    let memo = events(&body);
+    assert_eq!(reads(), before, "a memoized cell is not read again");
+    assert_eq!(served_count(result_event(&memo), "cache_hits"), cells as f64);
+    let dones: Vec<_> =
+        memo.iter().filter(|e| e.get("event") == Some(&Json::Str("done".into()))).collect();
+    assert_eq!(dones.len() as u64, cells);
+    assert!(dones.iter().all(|e| e.get("provenance") == Some(&Json::Str("cache-hit".into()))));
+    assert_eq!(metric(server.addr, "memo_hits") - memo_hits, cells as f64);
+    let artifact = |evs: &[Json]| {
+        strip_volatile(result_event(evs).get("artifact").expect("artifact")).render()
+    };
+    assert_eq!(artifact(&memo), artifact(&warm), "the memo gives what the disk gave");
     server.stop();
 }
 

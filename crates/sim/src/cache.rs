@@ -19,10 +19,11 @@
 //! parsed back before use (the JSON writer uses shortest-round-trip float
 //! rendering, and all cell counters are integers well below 2^53).
 
+use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use zbp_support::hash::fnv1a_64_hex;
+use zbp_support::hash::{digest_hex, fnv1a_64};
 use zbp_support::json::{Json, ToJson};
 
 /// Version of the artifact/cache schema: the shape of cached cell
@@ -38,10 +39,27 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// cells with equal key strings are interchangeable across experiments
 /// (a sweep's "24k" variant and Figure 2's "BTB2 enabled" column share
 /// one cache entry when their configurations match).
+///
+/// The key's FNV-1a digest is computed once, when the key is built: it
+/// names the entry's file and is all [`Hash`] feeds a hasher, while
+/// equality compares the full key string.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellKey(String);
+pub struct CellKey {
+    digest: u64,
+    text: String,
+}
+
+impl Hash for CellKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
 
 impl CellKey {
+    fn new(text: String) -> Self {
+        Self { digest: fnv1a_64(text.as_bytes()), text }
+    }
+
     /// Key for a simulation cell. `profile_json` must be the full
     /// serialized workload profile (name, footprint parts, slice
     /// length); `predictor_json` / `uarch_json` the serialized
@@ -54,14 +72,14 @@ impl CellKey {
         predictor_json: &str,
         uarch_json: &str,
     ) -> Self {
-        Self(format!(
+        Self::new(format!(
             "zbp-cell-v{SCHEMA_VERSION}|sim|profile={profile_json}|seed={seed}|len={len}|predictor={predictor_json}|uarch={uarch_json}"
         ))
     }
 
     /// Key for a trace-statistics cell (Table 4 footprint validation).
     pub fn stats(profile_json: &str, seed: u64, len: u64) -> Self {
-        Self(format!(
+        Self::new(format!(
             "zbp-cell-v{SCHEMA_VERSION}|stats|profile={profile_json}|seed={seed}|len={len}"
         ))
     }
@@ -79,19 +97,21 @@ impl CellKey {
         predictor_json: &str,
         uarch_json: &str,
     ) -> Self {
-        Self(format!(
+        Self::new(format!(
             "zbp-cell-v{SCHEMA_VERSION}|simpoint|profile={source_json}|seed={seed}|len={len}|spec={spec_json}|predictor={predictor_json}|uarch={uarch_json}"
         ))
     }
 
     /// The canonical key string.
     pub fn as_str(&self) -> &str {
-        &self.0
+        &self.text
     }
 
-    /// Filename-safe digest of the key.
+    /// Filename-safe digest of the key:
+    /// [`fnv1a_64_hex`](zbp_support::hash::fnv1a_64_hex) of
+    /// [`Self::as_str`], rendered from the digest computed with the key.
     pub fn digest(&self) -> String {
-        fnv1a_64_hex(&self.0)
+        digest_hex(self.digest)
     }
 }
 
@@ -642,6 +662,24 @@ mod tests {
         assert!(short.wait_for(&k).is_none());
         assert!(t.elapsed() < Duration::from_secs(5), "expiry must bound the wait");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn digests_are_the_fnv1a_hex_of_the_key_text() {
+        // The digest names the entry's file: it must stay what
+        // `fnv1a_64_hex` gives for the key string, or entries written
+        // before would no longer be found.
+        for k in [
+            key(1),
+            CellKey::stats("{\"name\":\"p\"}", 2, 500),
+            CellKey::simpoint("{\"name\":\"p\"}", 3, 900, "{\"k\":4}", "{\"btb\":1}", "{}"),
+        ] {
+            assert_eq!(k.digest(), zbp_support::hash::fnv1a_64_hex(k.as_str()), "{}", k.as_str());
+        }
+        assert_eq!(
+            CellKey::stats("p", 1, 100).digest(),
+            zbp_support::hash::fnv1a_64_hex("zbp-cell-v1|stats|profile=p|seed=1|len=100")
+        );
     }
 
     #[test]

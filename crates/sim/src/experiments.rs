@@ -17,7 +17,6 @@ use std::sync::Arc;
 use zbp_predictor::exclusive::ExclusivityPolicy;
 use zbp_predictor::tracker::FilterMode;
 use zbp_predictor::PredictorConfig;
-use zbp_trace::profile::WorkloadProfile;
 use zbp_trace::source::WorkloadSource;
 use zbp_trace::{TraceStats, TraceStore};
 use zbp_uarch::classify::OutcomeCounts;
@@ -153,11 +152,6 @@ impl ExperimentOptions {
             }
         }
         Ok(o)
-    }
-
-    /// Effective length for a profile.
-    pub fn len_for(&self, p: &WorkloadProfile) -> u64 {
-        self.len.map_or(p.default_len, |l| l.min(p.default_len))
     }
 
     /// Effective length for any workload source.
@@ -729,6 +723,7 @@ pub fn tournament_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zbp_trace::profile::WorkloadProfile;
 
     #[test]
     fn options_defaults_and_len_cap() {
@@ -737,9 +732,10 @@ mod tests {
         assert_eq!(o.workers, None);
         assert_eq!(o.cache_dir, None);
         let p = WorkloadProfile::tpf_airline();
-        assert_eq!(o.len_for(&p), p.default_len);
+        let s = WorkloadSource::from(p.clone());
+        assert_eq!(o.len_for_source(&s), p.default_len);
         let capped = ExperimentOptions::quick(10, 1);
-        assert_eq!(capped.len_for(&p), 10);
+        assert_eq!(capped.len_for_source(&s), 10);
     }
 
     #[test]

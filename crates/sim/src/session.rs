@@ -23,9 +23,10 @@
 //! the cache parsed out of the file ([`cached_cell`]), and only freshly
 //! computed cells take the render → parse round trip that makes them
 //! read exactly like a hit. A caller that already holds some hits — the
-//! serving daemon streams every cell before it assembles the artifact —
-//! hands them in through [`SimSession::run_cached_with_hits`] so that
-//! no cell is read twice.
+//! serving daemon streams every cell before it assembles the artifact,
+//! from its memo or the cache — hands them in through
+//! [`SimSession::run_cached_with_hits`], so that no cell is read twice
+//! and a row handed in whole does not even build its cells' keys.
 
 use crate::cache::{CellCache, CellKey};
 use crate::config::SimConfig;
@@ -114,7 +115,7 @@ impl SimSession {
 
     /// Caps dynamic instructions per workload. Each workload runs for
     /// `min(len, profile.default_len)` instructions, matching
-    /// [`ExperimentOptions::len_for`].
+    /// [`ExperimentOptions::len_for_source`].
     #[must_use]
     pub fn max_len(mut self, len: u64) -> Self {
         self.len = Some(len);
@@ -249,15 +250,13 @@ impl SimSession {
         let config_jsons = self.config_jsons();
         let mut cells = Vec::with_capacity(self.workloads.len() * self.configs.len());
         for (row, s) in self.workloads.iter().enumerate() {
-            let len = self.effective_len(s);
-            let source_json = s.key_json();
-            for (col, (pred, uarch)) in config_jsons.iter().enumerate() {
+            for (col, key) in self.row_keys(s, &config_jsons).into_iter().enumerate() {
                 cells.push(SessionCell {
                     row,
                     col,
                     workload: s.name().to_string(),
                     config: self.configs[col].name.clone(),
-                    key: CellKey::sim(&source_json, self.seed, len, pred, uarch),
+                    key,
                 });
             }
         }
@@ -270,6 +269,17 @@ impl SimSession {
         self.configs
             .iter()
             .map(|c| (json::to_string(&c.predictor), json::to_string(&c.uarch)))
+            .collect()
+    }
+
+    /// The cache key of each column of workload row `s`, given the
+    /// columns' [`Self::config_jsons`].
+    fn row_keys(&self, s: &WorkloadSource, config_jsons: &[(String, String)]) -> Vec<CellKey> {
+        let len = self.effective_len(s);
+        let source_json = s.key_json();
+        config_jsons
+            .iter()
+            .map(|(pred, uarch)| CellKey::sim(&source_json, self.seed, len, pred, uarch))
             .collect()
     }
 
@@ -334,8 +344,9 @@ impl SimSession {
     /// computed when its entry is gone.
     ///
     /// This is how `zbp-serve` assembles an artifact from the cells it
-    /// already streamed without reading each of them twice. A grid
-    /// handed in whole is gathered on the calling thread.
+    /// already streamed without reading each of them twice. Only a row
+    /// with a cell not handed in builds its keys, and a grid handed in
+    /// whole is gathered on the calling thread.
     pub fn run_cached_with_hits(
         &self,
         cache: &CellCache,
@@ -353,27 +364,28 @@ impl SimSession {
         let claims_lost = AtomicU64::new(0);
         let dedup_served = AtomicU64::new(0);
         let pool = CapturePool::default();
-        let config_jsons = self.config_jsons();
+        // A grid handed in whole has nothing to read, claim or compute:
+        // it builds no keys, and fanning its rows out would only spawn
+        // and join threads.
+        let handed_in_whole = !known_hits.is_empty() && known_hits.iter().all(Option::is_some);
+        let config_jsons = if handed_in_whole { Vec::new() } else { self.config_jsons() };
         let rows: Vec<usize> = (0..self.workloads.len()).collect();
         let gather_row = |&row: &usize| -> Vec<SimResult> {
             let s = &self.workloads[row];
-            let len = self.effective_len(s);
-            let source_json = s.key_json();
-            let keys: Vec<CellKey> = config_jsons
-                .iter()
-                .map(|(pred, uarch)| CellKey::sim(&source_json, self.seed, len, pred, uarch))
+            let mut cores: Vec<Option<CoreResult>> = (0..width)
+                .map(|col| known_hits.get(row * width + col).cloned().flatten())
                 .collect();
-            let mut cores: Vec<Option<CoreResult>> = keys
-                .iter()
-                .enumerate()
-                .map(|(col, k)| {
-                    known_hits
-                        .get(row * width + col)
-                        .cloned()
-                        .flatten()
-                        .or_else(|| cached_cell(cache, k))
-                })
-                .collect();
+            // Only a row with a cell not handed in has a key to use.
+            let keys = if cores.iter().all(Option::is_some) {
+                Vec::new()
+            } else {
+                self.row_keys(s, &config_jsons)
+            };
+            for (core, key) in cores.iter_mut().zip(&keys) {
+                if core.is_none() {
+                    *core = cached_cell(cache, key);
+                }
+            }
             hits.fetch_add(cores.iter().flatten().count() as u64, Ordering::Relaxed);
             let missing: Vec<usize> = (0..cores.len()).filter(|&i| cores[i].is_none()).collect();
             if !missing.is_empty() {
@@ -430,9 +442,6 @@ impl SimSession {
                 })
                 .collect()
         };
-        // A grid handed in whole has nothing to read, claim or compute,
-        // so fanning its rows out would only spawn and join threads.
-        let handed_in_whole = !known_hits.is_empty() && known_hits.iter().all(Option::is_some);
         let per_workload: Vec<Vec<SimResult>> = if handed_in_whole {
             rows.iter().map(gather_row).collect()
         } else {

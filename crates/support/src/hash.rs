@@ -22,10 +22,15 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Hashes a string and renders the digest as 16 lowercase hex digits —
-/// the filename-safe form cache entries are stored under.
+/// Hashes a string and renders the digest with [`digest_hex`].
 pub fn fnv1a_64_hex(text: &str) -> String {
-    format!("{:016x}", fnv1a_64(text.as_bytes()))
+    digest_hex(fnv1a_64(text.as_bytes()))
+}
+
+/// Renders a digest as 16 lowercase hex digits — the filename-safe form
+/// cache entries are stored under.
+pub fn digest_hex(digest: u64) -> String {
+    format!("{digest:016x}")
 }
 
 /// A non-cryptographic [`std::hash::Hasher`] for integer-keyed interior

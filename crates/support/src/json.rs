@@ -55,7 +55,7 @@ impl Json {
 
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
@@ -169,6 +169,7 @@ fn write_seq(
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -239,52 +240,45 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(c) = self.peek() else {
+            // Everything up to the next quote or backslash goes in at
+            // once. Both are ASCII, so the cut falls on a char boundary
+            // of the input, which is valid UTF-8 already.
+            let Some(run) = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\')
+            else {
                 return err("unterminated string");
             };
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return err("unterminated escape");
+            };
             self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return err("unterminated escape");
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return err("truncated \\u escape");
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| JsonError("non-utf8 escape".into()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError(format!("bad \\u escape {hex:?}")))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return err(format!("bad escape '\\{}'", other as char)),
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    if self.pos + 4 > self.bytes.len() {
+                        return err("truncated \\u escape");
                     }
+                    let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+                        .map_err(|_| JsonError("non-utf8 escape".into()))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| JsonError(format!("bad \\u escape {hex:?}")))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not produced by our writer;
+                    // map lone surrogates to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                _ => {
-                    // Collect the full UTF-8 sequence starting at c.
-                    let start = self.pos - 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| JsonError("invalid utf-8 in string".into()))?;
-                    out.push_str(chunk);
-                }
+                other => return err(format!("bad escape '\\{}'", other as char)),
             }
         }
     }
@@ -705,6 +699,139 @@ mod tests {
             assert!(text.len() < 32, "exponent form must stay compact, got {text}");
             assert_eq!(from_str::<f64>(&text).unwrap(), n, "round-trip of {n}");
         }
+    }
+
+    /// A document holding one string literal, read one UTF-8 sequence
+    /// at a time: the reference `Parser::string` must agree with, value
+    /// and error alike.
+    fn per_character_string_document(text: &str) -> Result<Json, JsonError> {
+        let bytes = text.as_bytes();
+        if bytes.first() != Some(&b'"') {
+            return err("the reference reads string documents only");
+        }
+        let mut pos = 1;
+        let mut out = String::new();
+        loop {
+            let Some(&c) = bytes.get(pos) else {
+                return err("unterminated string");
+            };
+            pos += 1;
+            match c {
+                b'"' => break,
+                b'\\' => {
+                    let Some(&esc) = bytes.get(pos) else {
+                        return err("unterminated escape");
+                    };
+                    pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            if pos + 4 > bytes.len() {
+                                return err("truncated \\u escape");
+                            }
+                            let hex = std::str::from_utf8(&bytes[pos..pos + 4])
+                                .map_err(|_| JsonError("non-utf8 escape".into()))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| JsonError(format!("bad \\u escape {hex:?}")))?;
+                            pos += 4;
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        }
+                        other => return err(format!("bad escape '\\{}'", other as char)),
+                    }
+                }
+                _ => {
+                    let start = pos - 1;
+                    while pos < bytes.len() && bytes[pos] & 0xC0 == 0x80 {
+                        pos += 1;
+                    }
+                    let chunk = std::str::from_utf8(&bytes[start..pos])
+                        .map_err(|_| JsonError("invalid utf-8 in string".into()))?;
+                    out.push_str(chunk);
+                }
+            }
+        }
+        while pos < bytes.len() && matches!(bytes[pos], b' ' | b'\t' | b'\n' | b'\r') {
+            pos += 1;
+        }
+        if pos != bytes.len() {
+            return err(format!("trailing input at byte {pos}"));
+        }
+        Ok(Json::Str(out))
+    }
+
+    #[test]
+    fn strings_parse_as_the_per_character_reader_parsed_them() {
+        // Every escape, `\u` surrogates and the `+` that
+        // `from_str_radix` lets through included, raw control bytes and
+        // multi-byte characters; then, less often, lone quotes and
+        // backslashes, bad escapes and escapes whose four hex digits cut
+        // a multi-byte character.
+        const WELL_FORMED: [&str; 28] = [
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\b",
+            "\\f",
+            "\\n",
+            "\\r",
+            "\\t",
+            "\\u0041",
+            "\\u00e9",
+            "\\u00E9",
+            "\\ud800",
+            "\\udc00",
+            "\\ud83d\\ude00",
+            "\\u+041",
+            "\u{0}",
+            "\u{1}",
+            "\u{1f}",
+            "\u{7f}",
+            "\n",
+            "\t",
+            " ",
+            "é",
+            "✓",
+            "😀",
+            "a",
+            "{\\\"name\\\":1}",
+            "|",
+        ];
+        const HOSTILE: [&str; 9] =
+            ["\"", "\\", "\\u12", "\\uZZZZ", "\\x", "\\é", "\\u00é", "\\u0é", "\\u"];
+        let mut rng = crate::rng::SmallRng::seed_from_u64(0x15);
+        let mut checked = 0;
+        let (mut values, mut errors) = (0, 0);
+        for _ in 0..3_000 {
+            let mut doc = String::from("\"");
+            for _ in 0..rng.random_range(0..12usize) {
+                doc.push_str(if rng.random_bool(0.1) {
+                    HOSTILE[rng.random_range(0..HOSTILE.len())]
+                } else {
+                    WELL_FORMED[rng.random_range(0..WELL_FORMED.len())]
+                });
+            }
+            if rng.random_bool(0.8) {
+                doc.push('"');
+            }
+            for cut in (1..=doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+                let text = &doc[..cut];
+                let got = Json::parse(text);
+                assert_eq!(got, per_character_string_document(text), "{text:?}");
+                match got {
+                    Ok(_) => values += 1,
+                    Err(_) => errors += 1,
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 30_000 && values > 1_000, "{values} values, {errors} errors");
     }
 
     #[test]
